@@ -16,7 +16,12 @@ The single-tick predict/update arithmetic lives in one place —
 :class:`GradientFilterCore` — shared by the offline scalar engine here and
 the on-phone streaming path
 (:class:`~repro.core.online.StreamingGradientEstimator`), so the two can
-never drift apart numerically.
+never drift apart numerically. The vectorized tick loop of
+:func:`~repro.core.batch.estimate_tracks_batch` evaluates the core's
+expressions in the same order, so a track is bit-identical whichever loop
+ran it; that function chooses the loop by batch width. The core runs on
+plain Python floats: :func:`estimate_track` unboxes its input arrays once
+per track, because numpy-scalar arithmetic costs several times as much.
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ class GradientFilterCore:
     """
 
     __slots__ = (
-        "dt", "specific_force", "drift_coeff", "q_v", "q_t", "r", "theta_clamp",
+        "dt", "specific_force", "neg_g_dt", "cdt", "q_v", "q_t", "r", "theta_clamp",
         "v", "theta", "p11", "p12", "p22", "b", "c", "d",
     )
 
@@ -128,9 +133,13 @@ class GradientFilterCore:
         cfg = config or GradientEKFConfig()
         self.dt = float(dt)
         self.specific_force = cfg.process == "specific_force"
-        self.drift_coeff = vehicle.drag_term / vehicle.weight
-        self.q_v = (cfg.accel_noise_std * dt) ** 2
-        self.q_t = cfg.grade_rate_std**2 * dt
+        # Per-filter constants, hoisted exactly as the vectorized loop in
+        # repro.core.batch hoists them, so both loops round identically.
+        self.neg_g_dt = -GRAVITY * self.dt
+        self.cdt = vehicle.drag_term / vehicle.weight * self.dt
+        sigma_a_dt = cfg.accel_noise_std * self.dt
+        self.q_v = sigma_a_dt * sigma_a_dt
+        self.q_t = cfg.grade_rate_std**2 * self.dt
         std = _FALLBACK_MEASUREMENT_STD if measurement_std is None else measurement_std
         self.r = std**2
         self.theta_clamp = math.pi / 3.0
@@ -144,8 +153,13 @@ class GradientFilterCore:
         self.d = 1.0
 
     def predict(self, a_meas: float) -> None:
-        """Advance one tick on an accelerometer sample (Eq 5 + Eq 4 drift)."""
-        dt = self.dt
+        """Advance one tick on an accelerometer sample (Eq 5 + Eq 4 drift).
+
+        Every expression is evaluated in the same order as the vectorized
+        tick loop of :func:`~repro.core.batch.estimate_tracks_batch`, so a
+        track comes out bit-identical from either loop. Keep the two in
+        step when editing either.
+        """
         v = self.v
         theta = self.theta
         g = GRAVITY
@@ -153,26 +167,26 @@ class GradientFilterCore:
         cos_t = math.cos(theta)
         if cos_t < 1e-6:
             cos_t = 1e-6
-        drift_coeff = self.drift_coeff
 
-        # Jacobian F = [[1, b], [c, d]].
+        # Jacobian F = [[1, b], [c, d]]; slope * cdt * v = d(drift)/dtheta * dt.
         if self.specific_force:
-            a_long = a_meas - g * sin_t
-            b = -g * cos_t * dt
-            ddrift_dtheta = drift_coeff * v * (-g + a_long * sin_t / cos_t**2)
+            a_long = a_meas - sin_t * g
+            b = self.neg_g_dt * cos_t
+            slope = a_long * sin_t / (cos_t * cos_t) - g
         else:
             a_long = a_meas
             b = 0.0
-            ddrift_dtheta = drift_coeff * v * a_long * sin_t / cos_t**2
-        c = drift_coeff * a_long / cos_t * dt
-        d = 1.0 + ddrift_dtheta * dt
+            slope = a_long * sin_t / (cos_t * cos_t)
+        cdt = self.cdt
+        cdt_v = cdt * v
+        d = cdt_v * slope + 1.0
+        c = cdt * a_long / cos_t
 
         # State prediction.
-        drift = drift_coeff * v * a_long / cos_t
-        v = v + a_long * dt
+        v = v + a_long * self.dt
         if v < 0.0:
             v = 0.0
-        theta = theta + drift * dt
+        theta = theta + cdt_v * a_long / cos_t
         clamp = self.theta_clamp
         if theta > clamp:
             theta = clamp
@@ -181,15 +195,12 @@ class GradientFilterCore:
 
         # Covariance prediction P = F P F^T + Q.
         p11, p12, p22 = self.p11, self.p12, self.p22
-        np11 = p11 + b * p12 + b * (p12 + b * p22) + self.q_v
-        np12 = c * p11 + (d + b * c) * p12 + b * d * p22
-        np22 = c * c * p11 + 2.0 * c * d * p12 + d * d * p22 + self.q_t
+        self.p11 = p11 + b * p12 + (p12 + b * p22) * b + self.q_v
+        self.p12 = c * p11 + (b * c + d) * p12 + b * d * p22
+        self.p22 = c * (c * p11) + c * d * p12 * 2.0 + d * d * p22 + self.q_t
 
         self.v = v
         self.theta = theta
-        self.p11 = np11
-        self.p12 = np12
-        self.p22 = np22
         self.b = b
         self.c = c
         self.d = d
@@ -408,20 +419,22 @@ def estimate_track(
         gd_plan = _gps_denied_plan(z, dt, s, gps_denied, prior_map)
         inflation = gps_denied.reacquire_inflation
 
-    a_in = accel.values
-    theta_out = np.empty(n)
-    var_out = np.empty(n)
-    v_out = np.empty(n)
+    # Unbox to Python floats once: indexing the arrays per tick would hand
+    # the core np.float64 scalars, and numpy-scalar arithmetic costs
+    # several times as much per operation.
+    a_in = accel.values.tolist()
+    z_in = z.tolist()
+    theta_list = [0.0] * n
+    var_list = [0.0] * n
+    v_list = [0.0] * n
 
     do_smooth = cfg.smooth
     if do_smooth:
-        # Forward-pass history for the RTS backward sweep: predicted and
-        # filtered states plus covariance triplets and Jacobian entries.
-        hist_xp = np.empty((n, 2))
-        hist_pp = np.empty((n, 3))  # (p11, p12, p22) after predict
-        hist_xf = np.empty((n, 2))
-        hist_pf = np.empty((n, 3))  # after update
-        hist_f = np.empty((n, 3))  # (b, c, d); F = [[1, b], [c, d]]
+        # Forward-pass history for the RTS backward sweep, one tuple per
+        # tick: predicted (v, theta, p11, p12, p22, b, c, d) with the
+        # Jacobian F = [[1, b], [c, d]], and filtered (v, theta, p11, p12, p22).
+        hist_pred: list[tuple[float, ...]] = [()] * n
+        hist_filt: list[tuple[float, ...]] = [()] * n
 
     for i in range(n):
         gd_act = gd_plan.get(i) if gd_plan is not None else None
@@ -434,16 +447,12 @@ def estimate_track(
         core.predict(a_in[i])
 
         if do_smooth:
-            hist_xp[i, 0] = core.v
-            hist_xp[i, 1] = core.theta
-            hist_pp[i, 0] = core.p11
-            hist_pp[i, 1] = core.p12
-            hist_pp[i, 2] = core.p22
-            hist_f[i, 0] = core.b
-            hist_f[i, 1] = core.c
-            hist_f[i, 2] = core.d
+            hist_pred[i] = (
+                core.v, core.theta, core.p11, core.p12, core.p22,
+                core.b, core.c, core.d,
+            )
 
-        zi = z[i]
+        zi = z_in[i]
         if zi == zi:  # not NaN
             if mon is not None:
                 mon_s.append(core.innovation_variance())
@@ -460,18 +469,17 @@ def estimate_track(
             core.update_theta(gd_act[1], gd_act[2])
             n_map_updates += 1
 
-        theta_out[i] = core.theta
-        var_out[i] = core.p22
-        v_out[i] = core.v
+        theta_list[i] = core.theta
+        var_list[i] = core.p22
+        v_list[i] = core.v
         if do_smooth:
-            hist_xf[i, 0] = core.v
-            hist_xf[i, 1] = core.theta
-            hist_pf[i, 0] = core.p11
-            hist_pf[i, 1] = core.p12
-            hist_pf[i, 2] = core.p22
+            hist_filt[i] = (core.v, core.theta, core.p11, core.p12, core.p22)
 
     if do_smooth:
-        _rts_backward(hist_xp, hist_pp, hist_xf, hist_pf, hist_f, theta_out, var_out, v_out)
+        _rts_backward(hist_pred, hist_filt, theta_list, var_list, v_list)
+    theta_out = np.array(theta_list)
+    var_out = np.array(var_list)
+    v_out = np.array(v_list)
 
     if tel is not None:
         if innovations:
@@ -518,36 +526,33 @@ def estimate_track(
 
 
 def _rts_backward(
-    xp: np.ndarray,
-    pp: np.ndarray,
-    xf: np.ndarray,
-    pf: np.ndarray,
-    f_entries: np.ndarray,
-    theta_out: np.ndarray,
-    var_out: np.ndarray,
-    v_out: np.ndarray,
+    pred: list[tuple[float, ...]],
+    filt: list[tuple[float, ...]],
+    theta_out: list[float],
+    var_out: list[float],
+    v_out: list[float],
 ) -> None:
     """Rauch-Tung-Striebel backward pass for the scalar 2-state filter.
 
-    Overwrites the output arrays in place with the smoothed estimates.
-    ``C_k = P_k^f F_{k+1}^T (P_{k+1}^pred)^{-1}``; the 2x2 inverse is done
-    in closed form.
+    ``pred[k]`` is ``(v, theta, p11, p12, p22, b, c, d)`` after tick k's
+    predict and ``filt[k]`` is ``(v, theta, p11, p12, p22)`` after its
+    update. Overwrites the output lists in place with the smoothed
+    estimates. ``C_k = P_k^f F_{k+1}^T (P_{k+1}^pred)^{-1}``; the 2x2
+    inverse is done in closed form.
     """
     n = len(theta_out)
-    xs_v, xs_t = xf[n - 1]
-    ps11, ps12, ps22 = pf[n - 1]
+    xs_v, xs_t, ps11, ps12, ps22 = filt[n - 1]
     v_out[n - 1], theta_out[n - 1] = xs_v, xs_t
     var_out[n - 1] = max(ps22, 1e-14)
     for k in range(n - 2, -1, -1):
-        b, c, d = f_entries[k + 1]
-        pf11, pf12, pf22 = pf[k]
-        pp11, pp12, pp22 = pp[k + 1]
+        xp_v, xp_t, pp11, pp12, pp22, b, c, d = pred[k + 1]
+        xf_v, xf_t, pf11, pf12, pf22 = filt[k]
         det = pp11 * pp22 - pp12 * pp12
         if det <= 1e-18:
-            v_out[k], theta_out[k] = xf[k]
+            v_out[k], theta_out[k] = xf_v, xf_t
             var_out[k] = max(pf22, 1e-14)
-            xs_v, xs_t = xf[k]
-            ps11, ps12, ps22 = pf[k]
+            xs_v, xs_t = xf_v, xf_t
+            ps11, ps12, ps22 = pf11, pf12, pf22
             continue
         i11 = pp22 / det
         i12 = -pp12 / det
@@ -562,10 +567,10 @@ def _rts_backward(
         c12 = a11 * i12 + a12 * i22
         c21 = a21 * i11 + a22 * i12
         c22 = a21 * i12 + a22 * i22
-        dv = xs_v - xp[k + 1, 0]
-        dt_ = xs_t - xp[k + 1, 1]
-        xs_v = xf[k, 0] + c11 * dv + c12 * dt_
-        xs_t = xf[k, 1] + c21 * dv + c22 * dt_
+        dv = xs_v - xp_v
+        dt_ = xs_t - xp_t
+        xs_v = xf_v + c11 * dv + c12 * dt_
+        xs_t = xf_t + c21 * dv + c22 * dt_
         # P_s = P_f + C (P_s' - P_pred) C^T.
         d11 = ps11 - pp11
         d12 = ps12 - pp12

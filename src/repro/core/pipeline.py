@@ -79,11 +79,13 @@ class GradientSystemConfig(SerializableConfig):
     fusion_grid_spacing:
         Position grid step [m] for track fusion and the final profile.
     ekf_engine:
-        ``"batch"`` (default) runs all velocity-source tracks through the
-        vectorized :func:`~repro.core.batch.estimate_tracks_batch` engine;
+        ``"batch"`` (default) runs all velocity-source tracks through one
+        :func:`~repro.core.batch.estimate_tracks_batch` call, which picks
+        its loop by width: per track below ~28 tracks (so at a trip's 4
+        sources it runs the same loop as ``"scalar"``), vectorized above.
         ``"scalar"`` keeps one :func:`estimate_track` call per source.
-        Outputs agree elementwise to well under 1e-9 (pinned by the batch
-        equivalence suite); the batch engine is ~3x faster with 4 sources.
+        Both settings give bit-identical outputs (pinned by the batch
+        equivalence suite), and ``"batch"`` is never the slower one.
     cache_geometry:
         Wrap the road map in a :class:`~repro.roads.cache.CachedRoadProfile`
         so repeated geometry queries (curvature for ``w_road``, arc-length

@@ -337,10 +337,11 @@ class TrackEstimationStage:
     """Gradient estimation: one EKF track per velocity source.
 
     The corrected velocity signals are prepared per source (Eq 2 when lane
-    changes were detected); the EKF then runs either vectorized across all
-    sources at once (engine ``"batch"``) or source-by-source (engine
-    ``"scalar"``) — outputs agree to well under 1e-9 either way (see
-    ``tests/core/test_batch_equivalence``).
+    changes were detected); the EKF then runs either through one
+    :func:`estimate_tracks_batch` call (engine ``"batch"``, which loops per
+    track at a trip's width and vectorizes wide flattened batches in
+    :meth:`run_batch`) or source-by-source (engine ``"scalar"``) — outputs
+    are bit-identical either way (see ``tests/core/test_batch_equivalence``).
 
     Degraded sources do not take the trip down: a velocity source with no
     usable measurement at all (every sample invalid or non-finite, e.g. GPS
@@ -434,10 +435,10 @@ class TrackEstimationStage:
 
         With the ``"batch"`` engine, the (trip, source) tracks of all
         multi-source trips flatten into a *single*
-        :func:`estimate_tracks_batch` call — the vectorized tick loop is
-        elementwise per column, so each flattened track is bit-identical
-        to the per-trip call while the interpreter cost is paid once per
-        tick instead of once per trip. Single-source trips, the
+        :func:`estimate_tracks_batch` call — each flattened track is
+        bit-identical to the per-trip call whichever loop the width picks,
+        and a wide batch pays the interpreter cost once per tick instead
+        of once per trip. Single-source trips, the
         ``"scalar"`` engine, and configs with GPS-denied handling enabled
         mirror :meth:`run` per trip. Per-track
         telemetry and health monitoring report to each trip's own sinks.

@@ -1,13 +1,13 @@
-"""Batched EKF engine equivalence: batch == looped scalar within 1e-9.
+"""Batched EKF engine equivalence: both loops == looped scalar, bit for bit.
 
-The vectorized engine (:func:`repro.core.batch.estimate_tracks_batch`)
-hoists per-track constants out of the tick loop, so individual products
-are re-associated versus the scalar engine and may differ by a few ulps.
-This suite pins the contract that those differences never grow: states,
-covariances and innovation-driven outputs agree elementwise within 1e-9
-across a routes x noise-seeds x lane-change-densities matrix, including
-the total-GPS-outage fixture, at both the direct-API and full-pipeline
-level.
+:func:`repro.core.batch.estimate_tracks_batch` runs narrow batches track by
+track through :func:`repro.core.gradient_ekf.estimate_track` and wide ones
+through a vectorized tick loop that evaluates the scalar core's expressions
+in the same order. This suite pins the contract that the two loops are
+bit-identical: states, covariances and innovation-driven outputs are
+``np.array_equal`` across a width sweep around the crossover and a routes x
+noise-seeds x lane-change-densities matrix, including the total-GPS-outage
+fixture, at both the direct-API and full-pipeline level.
 """
 
 from __future__ import annotations
@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
-from repro.core.batch import estimate_tracks_batch
+from repro.core.batch import (
+    _VECTORIZE_MIN_TRACKS,
+    _vectorized_tracks,
+    estimate_tracks_batch,
+)
 from repro.core.gradient_ekf import GradientEKFConfig, estimate_track
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
@@ -29,9 +33,8 @@ from repro.roads import SectionSpec, build_profile
 from repro.sensors import Smartphone
 from repro.sensors.base import SampledSignal
 from repro.sensors.phone import VELOCITY_SOURCES
-from repro.vehicle import DriverProfile, simulate_trip
+from repro.vehicle import DEFAULT_VEHICLE, DriverProfile, simulate_trip
 
-TOL = 1e-9
 TH = LaneChangeThresholds(delta=0.05, duration=0.5)
 
 # -- direct engine API -------------------------------------------------------
@@ -81,13 +84,52 @@ def _mixed_batch(seed: int):
     return accels, velocities, arcs
 
 
-def _assert_tracks_equal(batch_tracks, scalar_tracks, tol=TOL):
+def _sweep_batch(width: int, seed: int):
+    """``width`` tracks of mixed length, source and measurement sparsity;
+    every fifth track also loses its measurements for a long stretch."""
+    sources = list(VELOCITY_SOURCES)
+    accels, velocities, arcs = [], [], []
+    for k in range(width):
+        n = 300 + (k * 37) % 250
+        a, v, s = _synthetic_track(
+            n,
+            0.02,
+            seed * 101 + k,
+            source=sources[k % len(sources)],
+            meas_stride=(1, 5, 50)[k % 3],
+            theta=0.01 * (k % 7 - 3),
+        )
+        if k % 5 == 4:
+            v.values[n // 4 : 3 * n // 4] = np.nan
+        accels.append(a)
+        velocities.append(v)
+        arcs.append(s)
+    return accels, velocities, arcs
+
+
+def _vectorized(accels, velocities, arcs, config=None, telemetry=None):
+    """The vectorized loop at any width, bypassing the width dispatch."""
+    n = len(accels)
+    return _vectorized_tracks(
+        accels,
+        velocities,
+        arcs,
+        DEFAULT_VEHICLE,
+        config or GradientEKFConfig(),
+        None,
+        [telemetry] * n,
+        [None] * n,
+    )
+
+
+def _assert_tracks_equal(batch_tracks, scalar_tracks):
+    assert len(batch_tracks) == len(scalar_tracks)
     for got, want in zip(batch_tracks, scalar_tracks):
         assert np.array_equal(got.t, want.t)
         assert np.array_equal(got.s, want.s)
-        assert np.max(np.abs(got.theta - want.theta)) <= tol
-        assert np.max(np.abs(got.v - want.v)) <= tol
-        assert np.max(np.abs(got.variance - want.variance)) <= tol
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.v, want.v)
+        assert np.array_equal(got.variance, want.variance)
 
 
 class TestDirectEquivalence:
@@ -122,7 +164,7 @@ class TestDirectEquivalence:
         hist_s = snap_s["histograms"]["ekf_innovation_abs"]
         assert hist_b["count"] == hist_s["count"]
         for stat in ("sum", "mean", "min", "max"):
-            assert hist_b[stat] == pytest.approx(hist_s[stat], abs=TOL)
+            assert hist_b[stat] == hist_s[stat]
 
     def test_smooth_falls_back_bit_identical(self):
         accels, velocities, arcs = _mixed_batch(3)
@@ -166,6 +208,82 @@ class TestDirectEquivalence:
         assert all(t.meta["engine"] == "batch" for t in named)
         default = estimate_tracks_batch(accels, velocities, arcs)
         assert [t.name for t in default] == [v.name for v in velocities]
+
+    @pytest.mark.parametrize(
+        "width, smooth, loop",
+        [
+            (4, False, "per_track"),
+            (_VECTORIZE_MIN_TRACKS - 1, False, "per_track"),
+            (_VECTORIZE_MIN_TRACKS, False, "vectorized"),
+            (_VECTORIZE_MIN_TRACKS, True, "per_track"),
+        ],
+    )
+    def test_meta_records_the_loop(self, width, smooth, loop):
+        accels, velocities, arcs = _sweep_batch(width, seed=4)
+        cfg = GradientEKFConfig(smooth=smooth)
+        tracks = estimate_tracks_batch(accels, velocities, arcs, config=cfg)
+        assert all(t.meta["engine"] == "batch" for t in tracks)
+        assert all(t.meta["loop"] == loop for t in tracks)
+        want = [
+            estimate_track(a, v, s, config=cfg)
+            for a, v, s in zip(accels, velocities, arcs)
+        ]
+        for got, ref in zip(tracks, want):
+            assert got.meta["measurement_std"] == ref.meta["measurement_std"]
+
+
+SWEEP_WIDTHS = sorted(
+    {1, 2, 4, _VECTORIZE_MIN_TRACKS - 1, _VECTORIZE_MIN_TRACKS,
+     _VECTORIZE_MIN_TRACKS + 1, 64}
+)
+
+
+class TestLoopsBitIdentical:
+    """The vectorized loop and per-track estimate_track agree bit for bit."""
+
+    @pytest.mark.parametrize("width", SWEEP_WIDTHS)
+    @pytest.mark.parametrize("process", ["specific_force", "accelerometer"])
+    def test_width_sweep(self, width, process):
+        accels, velocities, arcs = _sweep_batch(width, seed=width)
+        cfg = GradientEKFConfig(process=process)
+        per_track = [
+            estimate_track(a, v, s, config=cfg)
+            for a, v, s in zip(accels, velocities, arcs)
+        ]
+        _assert_tracks_equal(
+            _vectorized(accels, velocities, arcs, config=cfg), per_track
+        )
+        _assert_tracks_equal(
+            estimate_tracks_batch(accels, velocities, arcs, config=cfg), per_track
+        )
+
+    def test_vectorized_telemetry_matches_per_track(self):
+        accels, velocities, arcs = _mixed_batch(9)
+        tel_b, tel_s = Telemetry("vectorized"), Telemetry("per-track")
+        _vectorized(accels, velocities, arcs, telemetry=tel_b)
+        for a, v, s in zip(accels, velocities, arcs):
+            estimate_track(a, v, s, telemetry=tel_s)
+        assert tel_b.metrics.snapshot() == tel_s.metrics.snapshot()
+
+    @pytest.mark.parametrize("process", ["specific_force", "accelerometer"])
+    def test_total_outage_fixture(self, process):
+        # The sources the pipeline keeps when GPS never fixes, from the
+        # recordings of two seeds, so the batch mixes track lengths.
+        accels, velocities, arcs = [], [], []
+        for seed in (17, 99):
+            _, rec = _route_recording("outage", seed, 3.0)
+            for source in ROUTES["outage"]["sources"]:
+                accels.append(rec.accel_long)
+                velocities.append(rec.velocity_source(source))
+                arcs.append(np.zeros_like(rec.accel_long.t))
+        cfg = GradientEKFConfig(process=process)
+        per_track = [
+            estimate_track(a, v, s, config=cfg)
+            for a, v, s in zip(accels, velocities, arcs)
+        ]
+        _assert_tracks_equal(
+            _vectorized(accels, velocities, arcs, config=cfg), per_track
+        )
 
 
 # -- full pipeline: ekf_engine="batch" vs "scalar" ---------------------------
@@ -226,10 +344,10 @@ class TestPipelineEquivalence:
         assert set(res_b.tracks) == set(res_s.tracks)
         for source in res_b.tracks:
             got, want = res_b.tracks[source], res_s.tracks[source]
-            assert np.max(np.abs(got.theta - want.theta)) <= TOL
-            assert np.max(np.abs(got.variance - want.variance)) <= TOL
-            assert np.max(np.abs(got.v - want.v)) <= TOL
-        assert np.max(np.abs(res_b.fused.theta - res_s.fused.theta)) <= TOL
+            assert np.array_equal(got.theta, want.theta)
+            assert np.array_equal(got.variance, want.variance)
+            assert np.array_equal(got.v, want.v)
+        assert np.array_equal(res_b.fused.theta, res_s.fused.theta)
 
     def test_outage_recording_has_no_fix(self):
         _, rec = _route_recording("outage", 17, 0.0)
@@ -250,4 +368,4 @@ class TestPipelineEquivalence:
         hist_b = snaps["batch"]["histograms"]["ekf_innovation_abs"]
         hist_s = snaps["scalar"]["histograms"]["ekf_innovation_abs"]
         assert hist_b["count"] == hist_s["count"]
-        assert hist_b["sum"] == pytest.approx(hist_s["sum"], abs=1e-6)
+        assert hist_b["sum"] == hist_s["sum"]
