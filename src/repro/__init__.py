@@ -34,7 +34,6 @@ from .config import SerializableConfig
 from .core import (
     ROBUST_STAGES,
     EstimationResult,
-    ExtendedKalmanFilter,
     GradientEKFConfig,
     GradientEstimationSystem,
     GradientFilterCore,
@@ -96,7 +95,6 @@ __all__ = [
     "estimate_gradient_barometer",
     "estimate_gradient_ekf_baseline",
     "EstimationResult",
-    "ExtendedKalmanFilter",
     "GradientEKFConfig",
     "GradientEstimationSystem",
     "GradientFilterCore",

@@ -4,19 +4,17 @@ from .batch import estimate_tracks_batch
 from .trip_batch import BATCH_CHANNELS, BatchPipelineContext, TripBatch
 from .bias_ekf import BiasEKFConfig, estimate_track_bias_augmented
 from .dead_reckoning import DeadReckoner, DeadReckoningConfig, GPSDeniedConfig
-from .ekf import EKFModel, ExtendedKalmanFilter
 from .online import MODE_NAMES, StreamingGradientEstimator, StreamState
 from .gradient_ekf import (
+    PROCESS_MODELS,
     GradientEKFConfig,
     GradientFilterCore,
     estimate_track,
-    estimate_track_generic,
     measurements_on_timebase,
 )
 from .sanitize import SanitizeConfig, SanitizeStage, sanitize_recording, sanitize_signal
 from .stages import (
     DEFAULT_STAGES,
-    EKF_ENGINES,
     ROBUST_STAGES,
     STAGE_REGISTRY,
     AlignmentStage,
@@ -45,7 +43,6 @@ from .pipeline import (
     GradientSystemConfig,
     fuse_estimates,
 )
-from .state_space import PROCESS_MODELS, GradientStateSpace
 from .track import GradientTrack
 from .track_fusion import convex_combination, fuse_tracks
 
@@ -55,8 +52,6 @@ __all__ = [
     "DeadReckoner",
     "DeadReckoningConfig",
     "GPSDeniedConfig",
-    "EKFModel",
-    "ExtendedKalmanFilter",
     "MODE_NAMES",
     "StreamingGradientEstimator",
     "StreamState",
@@ -67,10 +62,8 @@ __all__ = [
     "BATCH_CHANNELS",
     "BatchPipelineContext",
     "TripBatch",
-    "estimate_track_generic",
     "measurements_on_timebase",
     "DEFAULT_STAGES",
-    "EKF_ENGINES",
     "ROBUST_STAGES",
     "STAGE_REGISTRY",
     "SanitizeConfig",
@@ -99,7 +92,6 @@ __all__ = [
     "GradientSystemConfig",
     "fuse_estimates",
     "PROCESS_MODELS",
-    "GradientStateSpace",
     "GradientTrack",
     "convex_combination",
     "fuse_tracks",

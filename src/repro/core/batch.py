@@ -1,16 +1,25 @@
-"""Batched gradient EKF: N tracks through one call, loop chosen by width.
+"""The offline gradient EKF: N tracks through one call, loop chosen by width.
 
-:func:`repro.core.gradient_ekf.estimate_track` runs the 2-state ``[v, theta]``
-filter one track at a time in pure Python — fine for a single phone, but the
-cloud side of the paper (Sec III-C3) and crowd-sourced settings fuse *many*
-independent tracks per road segment. :func:`estimate_tracks_batch` stacks N
-tracks into ``(tick, track)`` arrays and advances them all per tick with
-numpy, so the per-tick interpreter cost is paid once instead of N times.
-That only pays once the batch is wide: below ``_VECTORIZE_MIN_TRACKS``
-tracks the per-tick numpy dispatch costs more than N plain-float ticks, so
-a narrow batch runs :func:`estimate_track` per track instead. Each returned
-track's ``meta["loop"]`` says which loop ran (``"per_track"`` or
-``"vectorized"``).
+:func:`estimate_tracks_batch` is the one offline entry point to the
+paper's per-track ``[v, theta]`` filter (Sec III-C2): per-trip estimation
+calls it with one trip's velocity-source tracks, and batched estimation
+with the flattened tracks of a whole fleet, which is what the cloud side
+of the paper (Sec III-C3) and crowd-sourced grade maps fuse per road
+segment. It runs one of two loops:
+
+* the **vectorized** loop stacks the N tracks into ``(tick, track)``
+  arrays and advances them all per tick with numpy, so the per-tick
+  interpreter cost is paid once instead of N times;
+* the **per-track** loop runs :func:`~repro.core.gradient_ekf.estimate_track`
+  on each track. Below ``_VECTORIZE_MIN_TRACKS`` tracks the per-tick
+  numpy dispatch costs more than N plain-float ticks, so a narrow batch
+  runs this loop; so does every batch with ``config.smooth=True`` (the RTS
+  backward pass is not vectorized) or with GPS-denied handling enabled
+  (the outage plan and prior-map updates are per track). A wide batch
+  forced onto it counts ``ekf.scalar_fallback`` with the reason.
+
+Each returned track's ``meta["loop"]`` says which loop ran (``"per_track"``
+or ``"vectorized"``).
 
 Equivalence contract
 --------------------
@@ -25,8 +34,7 @@ a route x seed x lane-change matrix.
 
 Tracks may differ in length, timebase and velocity source; shorter tracks
 are padded internally (zero accel, no measurements) and the padding never
-reaches the output. ``config.smooth=True`` always runs the per-track loop —
-the RTS backward pass is not vectorized.
+reaches the output.
 """
 
 from __future__ import annotations
@@ -41,17 +49,22 @@ from ..errors import EstimationError
 from ..obs import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
-from .gradient_ekf import GradientEKFConfig, estimate_track, measurements_on_timebase
+from .gradient_ekf import (
+    GradientEKFConfig,
+    estimate_track,
+    measurements_on_timebase,
+    track_timebase,
+)
 from .track import GradientTrack
 
 __all__ = ["estimate_tracks_batch"]
 
 #: Narrowest batch that runs the vectorized loop; narrower batches (and
-#: every ``smooth=True`` batch) run the per-track loop. The vectorized loop
-#: pays numpy dispatch once per tick, so its cost per track-tick falls with
-#: width while the per-track loop's stays flat. Measured on 3 000-4 000-tick
-#: tracks, 2-core x86-64 VM, numpy 2.4, Python 3.11 (the host drifts, so
-#: each figure spans several runs):
+#: every smoothed or GPS-denied batch) run the per-track loop. The
+#: vectorized loop pays numpy dispatch once per tick, so its cost per
+#: track-tick falls with width while the per-track loop's stays flat.
+#: Measured on 3 000-4 000-tick tracks, 2-core x86-64 VM, numpy 2.4,
+#: Python 3.11 (the host drifts, so each figure spans several runs):
 #:
 #:   loop        width   ns per track-tick
 #:   per-track   any     1 400 - 2 400
@@ -72,12 +85,11 @@ def estimate_tracks_batch(
     vehicle: VehicleParams | None = None,
     config: GradientEKFConfig | None = None,
     names: Sequence[str | None] | None = None,
-    telemetry: Telemetry | None = None,
-    monitor=None,
     telemetries: Sequence[Telemetry | None] | None = None,
     monitors: Sequence | None = None,
+    gps_denied=None,
 ) -> list[GradientTrack]:
-    """Run the gradient EKF over N tracks simultaneously.
+    """Run the gradient EKF over N tracks.
 
     Parameters
     ----------
@@ -86,16 +98,18 @@ def estimate_tracks_batch(
         The k-th track is ``(accels[k], velocities[k], arc_lengths[k])``.
     names:
         Optional per-track names (default: each velocity source's name).
-    monitor:
-        Optional :class:`~repro.obs.health.HealthMonitor`; receives each
-        track's innovation record via ``check_track``. Purely passive —
-        outputs are bit-identical with or without it.
     telemetries / monitors:
-        Per-track telemetry/monitor sequences for callers that flatten
-        tracks from *several* trips into one batch call (the whole-pipeline
-        batching path): track ``k`` reports to ``telemetries[k]`` /
-        ``monitors[k]``. Mutually exclusive with the batch-wide
-        ``telemetry`` / ``monitor`` singletons.
+        Optional per-track sinks: track ``k`` reports its counters to
+        ``telemetries[k]`` and its innovation record to ``monitors[k]``
+        (a :class:`~repro.obs.health.HealthMonitor`, via ``check_track``).
+        Tracks flattened from several trips pass each trip's own sinks.
+        Monitoring is purely passive — outputs are bit-identical with or
+        without it.
+    gps_denied:
+        Optional :class:`~repro.core.dead_reckoning.GPSDeniedConfig`. When
+        enabled, the prior map embedded in ``gps_denied.prior_map`` (if
+        any) is built once for the call and every track runs the per-track
+        loop with it.
 
     Returns
     -------
@@ -106,10 +120,6 @@ def estimate_tracks_batch(
         raise EstimationError("batch inputs must have matching lengths")
     if names is not None and len(names) != n_tracks:
         raise EstimationError("names must match the number of tracks")
-    if telemetries is not None and telemetry is not None:
-        raise EstimationError("pass either telemetry or telemetries, not both")
-    if monitors is not None and monitor is not None:
-        raise EstimationError("pass either monitor or monitors, not both")
     if telemetries is not None and len(telemetries) != n_tracks:
         raise EstimationError("telemetries must match the number of tracks")
     if monitors is not None and len(monitors) != n_tracks:
@@ -118,34 +128,45 @@ def estimate_tracks_batch(
         raise EstimationError("batch estimation needs at least one track")
     vehicle = vehicle or DEFAULT_VEHICLE
     cfg = config or GradientEKFConfig()
-
-    tels_raw: list[Telemetry | None] = (
-        list(telemetries) if telemetries is not None else [telemetry] * n_tracks
+    tels: list[Telemetry | None] = (
+        list(telemetries) if telemetries is not None else [None] * n_tracks
     )
-    mons: list = list(monitors) if monitors is not None else [monitor] * n_tracks
+    mons: list = list(monitors) if monitors is not None else [None] * n_tracks
+    gd = gps_denied if gps_denied is not None and gps_denied.enabled else None
 
-    if cfg.smooth or n_tracks < _VECTORIZE_MIN_TRACKS:
-        # The RTS backward pass is not vectorized, and a narrow batch is
-        # cheaper track by track; both loops give bit-identical tracks.
-        tracks = [
-            estimate_track(
-                accels[k],
-                velocities[k],
-                arc_lengths[k],
-                vehicle=vehicle,
-                config=cfg,
-                name=names[k] if names is not None else None,
-                telemetry=tels_raw[k],
-                monitor=mons[k],
-            )
-            for k in range(n_tracks)
-        ]
-        for track in tracks:
-            track.meta.update(engine="batch", loop="per_track")
-        return tracks
-    return _vectorized_tracks(
-        accels, velocities, arc_lengths, vehicle, cfg, names, tels_raw, mons
-    )
+    wide = n_tracks >= _VECTORIZE_MIN_TRACKS
+    if wide and gd is None and not cfg.smooth:
+        return _vectorized_tracks(
+            accels, velocities, arc_lengths, vehicle, cfg, names, tels, mons
+        )
+
+    # The per-track loop: bit-identical to the vectorized one, and cheaper
+    # for a narrow batch. A wide batch lands here only because the RTS
+    # pass and the outage plan are not vectorized, so count that.
+    fallback = None
+    if wide:
+        fallback = "gps_denied" if gd is not None else "smooth"
+    pm = gd.prior_map.build() if gd is not None and gd.prior_map is not None else None
+    tracks: list[GradientTrack] = []
+    for k in range(n_tracks):
+        track = estimate_track(
+            accels[k],
+            velocities[k],
+            arc_lengths[k],
+            vehicle=vehicle,
+            config=cfg,
+            name=names[k] if names is not None else None,
+            telemetry=tels[k],
+            monitor=mons[k],
+            gps_denied=gd,
+            prior_map=pm,
+        )
+        track.meta["loop"] = "per_track"
+        tel_k = tels[k]
+        if fallback is not None and tel_k is not None and tel_k.active:
+            tel_k.count("ekf.scalar_fallback", labels={"reason": fallback})
+        tracks.append(track)
+    return tracks
 
 
 def _vectorized_tracks(
@@ -155,13 +176,13 @@ def _vectorized_tracks(
     vehicle: VehicleParams,
     cfg: GradientEKFConfig,
     names: Sequence[str | None] | None,
-    tels_raw: Sequence[Telemetry | None],
+    tel_sinks: Sequence[Telemetry | None],
     mons: Sequence,
 ) -> list[GradientTrack]:
     """The vectorized tick loop over N tracks (inputs already validated)."""
     n_tracks = len(accels)
     tels: list[Telemetry | None] = [
-        t if t is not None and t.active else None for t in tels_raw
+        t if t is not None and t.active else None for t in tel_sinks
     ]
     any_tel = any(t is not None for t in tels)
     any_mon = any(m is not None for m in mons)
@@ -175,17 +196,10 @@ def _vectorized_tracks(
     r = np.empty(n_tracks)
     v = np.empty(n_tracks)
     for k in range(n_tracks):
-        t_k = accels[k].t
-        n_k = len(t_k)
-        if n_k < 2:
-            raise EstimationError("gradient estimation needs at least two samples")
-        s_k = np.asarray(arc_lengths[k], dtype=float)
-        if s_k.shape != t_k.shape:
-            raise EstimationError("arc-length array must match the accel timebase")
-        ts.append(t_k)
+        s_k, dt[k] = track_timebase(accels[k], arc_lengths[k])
+        ts.append(accels[k].t)
         ss.append(s_k)
-        lengths[k] = n_k
-        dt[k] = float(np.median(np.diff(t_k)))
+        lengths[k] = len(s_k)
         stds.append(cfg.std_for(velocities[k].name))
         r[k] = stds[k] ** 2
 
@@ -197,12 +211,8 @@ def _vectorized_tracks(
         a_in[:n_k, k] = accels[k].values
         z_k = measurements_on_timebase(ts[k], velocities[k])
         z_in[:n_k, k] = z_k
-        first = np.flatnonzero(np.isfinite(z_k))
-        v[k] = (
-            float(z_k[first[0]])
-            if len(first)
-            else float(np.nanmax([accels[k].values[0], 0.0]))
-        )
+        # measurements_on_timebase guarantees a first measurement.
+        v[k] = float(z_k[np.flatnonzero(np.isfinite(z_k))[0]])
         tel_k = tels[k]
         if tel_k is not None:
             vel = velocities[k]
@@ -411,7 +421,6 @@ def _vectorized_tracks(
                     "process": cfg.process,
                     "measurement_std": stds[k],
                     "smoothed": cfg.smooth,
-                    "engine": "batch",
                     "loop": "vectorized",
                 },
             )

@@ -2,26 +2,21 @@
 
 ``estimate_track`` runs an EKF over ``x = [v, theta]`` driven by the
 accelerometer at the phone rate and corrected by one velocity source; the
-output is a :class:`~repro.core.track.GradientTrack`. Two interchangeable
-engines exist:
-
-* :func:`estimate_track` uses a hand-specialized scalar 2-state filter —
-  algebraically identical to the generic EKF but ~20x faster, which matters
-  on the 165 km network experiment;
-* :func:`estimate_track_generic` runs the same model through
-  :class:`~repro.core.ekf.ExtendedKalmanFilter`. A unit test pins both to
-  the same output.
+output is a :class:`~repro.core.track.GradientTrack`. The library reaches
+it through :func:`~repro.core.batch.estimate_tracks_batch`, the one
+offline entry point, whose per-track loop calls it for narrow batches,
+``smooth=True`` and GPS-denied handling.
 
 The single-tick predict/update arithmetic lives in one place —
-:class:`GradientFilterCore` — shared by the offline scalar engine here and
+:class:`GradientFilterCore` — shared by the offline per-track loop here and
 the on-phone streaming path
 (:class:`~repro.core.online.StreamingGradientEstimator`), so the two can
 never drift apart numerically. The vectorized tick loop of
 :func:`~repro.core.batch.estimate_tracks_batch` evaluates the core's
 expressions in the same order, so a track is bit-identical whichever loop
-ran it; that function chooses the loop by batch width. The core runs on
-plain Python floats: :func:`estimate_track` unboxes its input arrays once
-per track, because numpy-scalar arithmetic costs several times as much.
+ran it. The core runs on plain Python floats: :func:`estimate_track`
+unboxes its input arrays once per track, because numpy-scalar arithmetic
+costs several times as much.
 """
 
 from __future__ import annotations
@@ -33,21 +28,33 @@ import numpy as np
 
 from ..config import SerializableConfig
 from ..constants import GRAVITY
-from ..errors import DegradedInputError, EstimationError
+from ..errors import ConfigurationError, DegradedInputError, EstimationError
 from ..obs import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
-from .ekf import EKFModel, ExtendedKalmanFilter
-from .state_space import GradientStateSpace
 from .track import GradientTrack
 
 __all__ = [
+    "PROCESS_MODELS",
     "GradientEKFConfig",
     "GradientFilterCore",
     "estimate_track",
-    "estimate_track_generic",
     "measurements_on_timebase",
+    "track_timebase",
 ]
+
+#: Velocity process models (``GradientEKFConfig.process``):
+#:
+#: * ``"specific_force"`` (default): the accelerometer reads what a phone
+#:   physically measures on a gradient, specific force ``a + g sin(theta)``,
+#:   so ``v' = v + (a_meas - g sin(theta)) dt`` and the velocity innovation
+#:   carries direct information about theta;
+#: * ``"paper"``: the literal Eq 5 ``v' = v + a_meas dt``; theta is then
+#:   only observable through Eq 4's weak drift term.
+#:
+#: Both keep Eq 4's gradient dynamics
+#: ``theta' = theta + rho A_f C_d v a / (m g cos(theta)) dt``.
+PROCESS_MODELS = ("specific_force", "paper")
 
 #: Default measurement noise std [m/s] per velocity source.
 _DEFAULT_MEASUREMENT_STD = {
@@ -79,6 +86,11 @@ class GradientEKFConfig(SerializableConfig):
     measurement_std: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.process not in PROCESS_MODELS:
+            raise ConfigurationError(
+                f"unknown process model {self.process!r}; "
+                f"valid options are {list(PROCESS_MODELS)}"
+            )
         # Dict input is the ergonomic form ({"gps": 0.4}); normalize to
         # sorted (name, std) pairs so the stored config is immutable data
         # and two specs with the same overrides compare equal.
@@ -100,9 +112,9 @@ class GradientFilterCore:
     """Single-tick predict/update of the ``[v, theta]`` gradient EKF.
 
     This is the *one* implementation of the paper's per-track filter math
-    (Eq 4/5 prediction, H = [1, 0] velocity update). The offline scalar
-    engine (:func:`estimate_track`) drives it tick by tick over a whole
-    recording; the streaming estimator
+    (Eq 4/5 prediction, H = [1, 0] velocity update). The offline
+    per-track loop (:func:`estimate_track`) drives it tick by tick over a
+    whole recording; the streaming estimator
     (:class:`~repro.core.online.StreamingGradientEstimator`) drives it one
     sample at a time on the phone. Both therefore produce bit-identical
     state sequences by construction.
@@ -299,6 +311,24 @@ def measurements_on_timebase(
     return z
 
 
+def track_timebase(accel: SampledSignal, s: np.ndarray) -> tuple[np.ndarray, float]:
+    """Validate one track's timebase; returns its arc length and median tick.
+
+    Raises :class:`~repro.errors.EstimationError` for fewer than two
+    samples, an arc length off the accel timebase, or a non-positive tick.
+    """
+    t = accel.t
+    if len(t) < 2:
+        raise EstimationError("gradient estimation needs at least two samples")
+    s = np.asarray(s, dtype=float)
+    if s.shape != t.shape:
+        raise EstimationError("arc-length array must match the accel timebase")
+    dt = float(np.median(np.diff(t)))
+    if dt <= 0.0:
+        raise EstimationError("dt must be positive")
+    return s, dt
+
+
 def _gps_denied_plan(
     z: np.ndarray,
     dt: float,
@@ -306,7 +336,7 @@ def _gps_denied_plan(
     gps_denied,
     prior_map,
 ) -> dict[int, tuple] | None:
-    """Per-tick GPS-denied actions for the offline engine, or ``None``.
+    """Per-tick GPS-denied actions for the offline filter, or ``None``.
 
     Measurement outages longer than ``outage_enter_ticks`` get (a)
     prior-map gradient updates every ``map_update_interval_ticks`` once
@@ -316,10 +346,7 @@ def _gps_denied_plan(
     measurement after the outage). Returns ``{tick: ("map", theta, r)}``
     and ``{tick: ("inflate",)}`` entries; ``None`` when nothing applies.
     """
-    pm = prior_map
-    if pm is None and gps_denied.prior_map is not None:
-        pm = gps_denied.prior_map.build()
-    fuse_map = gps_denied.use_prior_map and pm is not None
+    fuse_map = gps_denied.use_prior_map and prior_map is not None
     bad = ~np.isfinite(z)
     plan: dict[int, tuple] = {}
     edges = np.flatnonzero(
@@ -336,7 +363,7 @@ def _gps_denied_plan(
                 # deployment localizes by dead reckoning; model its drift
                 # so the map update's trust matches the streaming path.
                 s_var = q_s * (i - start) * dt
-                plan[i] = ("map", *pm.measurement(float(s[i]), s_var))
+                plan[i] = ("map", *prior_map.measurement(float(s[i]), s_var))
         if end < len(z):
             plan[end] = ("inflate",)
     return plan or None
@@ -354,7 +381,7 @@ def estimate_track(
     gps_denied=None,
     prior_map=None,
 ) -> GradientTrack:
-    """Run the gradient EKF against one velocity source (fast engine).
+    """Run the gradient EKF against one velocity source.
 
     Parameters
     ----------
@@ -373,23 +400,19 @@ def estimate_track(
         Optional :class:`~repro.core.dead_reckoning.GPSDeniedConfig`; when
         enabled, long measurement outages fuse prior-map gradient updates
         and reacquisition inflates the covariance (see
-        :func:`_gps_denied_plan`). ``None`` or disabled leaves the engine
+        :func:`_gps_denied_plan`). ``None`` or disabled leaves the filter
         bit-identical to the historical behaviour.
     prior_map:
-        Optional :class:`~repro.roads.prior_map.PriorGradeMap` overriding
-        the map embedded in ``gps_denied.prior_map``.
+        Optional :class:`~repro.roads.prior_map.PriorGradeMap` fused during
+        outages. ``gps_denied.prior_map`` is not read here:
+        :func:`~repro.core.batch.estimate_tracks_batch` builds it once per
+        call and passes it in.
     """
     vehicle = vehicle or DEFAULT_VEHICLE
     cfg = config or GradientEKFConfig()
+    s, dt = track_timebase(accel, s)
     t = accel.t
     n = len(t)
-    if n < 2:
-        raise EstimationError("gradient estimation needs at least two samples")
-    s = np.asarray(s, dtype=float)
-    if s.shape != t.shape:
-        raise EstimationError("arc-length array must match the accel timebase")
-
-    dt = float(np.median(np.diff(t)))
     z = measurements_on_timebase(t, velocity)
     tel = telemetry if telemetry is not None and telemetry.active else None
     if tel is not None:
@@ -405,9 +428,9 @@ def estimate_track(
         mon_ticks: list[int] = []
     r_std = cfg.std_for(velocity.name)
 
-    # Initial state: first available measurement, flat road prior.
-    first = np.flatnonzero(np.isfinite(z))
-    v0 = float(z[first[0]]) if len(first) else float(np.nanmax([accel.values[0], 0.0]))
+    # Initial state: first available measurement (measurements_on_timebase
+    # guarantees one), flat road prior.
+    v0 = float(z[np.flatnonzero(np.isfinite(z))[0]])
     core = GradientFilterCore(
         dt, vehicle=vehicle, config=cfg, measurement_std=r_std, v0=v0
     )
@@ -586,56 +609,3 @@ def _rts_backward(
         theta_out[k] = xs_t
         var_out[k] = max(ps22, 1e-14)
 
-
-def estimate_track_generic(
-    accel: SampledSignal,
-    velocity: SampledSignal,
-    s: np.ndarray,
-    vehicle: VehicleParams | None = None,
-    config: GradientEKFConfig | None = None,
-    name: str | None = None,
-) -> GradientTrack:
-    """Reference engine: the same model through the generic EKF class."""
-    vehicle = vehicle or DEFAULT_VEHICLE
-    cfg = config or GradientEKFConfig()
-    t = accel.t
-    n = len(t)
-    if n < 2:
-        raise EstimationError("gradient estimation needs at least two samples")
-    dt = float(np.median(np.diff(t)))
-    model_space = GradientStateSpace(vehicle=vehicle, dt=dt, process=cfg.process)
-    r = np.array([[cfg.std_for(velocity.name) ** 2]])
-    q = np.diag([(cfg.accel_noise_std * dt) ** 2, cfg.grade_rate_std**2 * dt])
-    model = EKFModel(
-        f=model_space.f,
-        f_jacobian=model_space.f_jacobian,
-        h=model_space.h,
-        h_jacobian=model_space.h_jacobian,
-        q=q,
-        r=r,
-    )
-    z = measurements_on_timebase(t, velocity)
-    first = np.flatnonzero(np.isfinite(z))
-    v0 = float(z[first[0]]) if len(first) else 0.0
-    ekf = ExtendedKalmanFilter(
-        model,
-        x0=np.array([v0, 0.0]),
-        p0=np.diag([cfg.initial_speed_std**2, cfg.initial_grade_std**2]),
-    )
-    theta_out = np.empty(n)
-    var_out = np.empty(n)
-    v_out = np.empty(n)
-    for i in range(n):
-        zi = z[i]
-        ekf.step(None if not np.isfinite(zi) else zi, u=np.array([accel.values[i]]))
-        v_out[i], theta_out[i] = ekf.x
-        var_out[i] = ekf.variance_of(1)
-    return GradientTrack(
-        name=name or velocity.name,
-        t=t.copy(),
-        s=np.asarray(s, dtype=float).copy(),
-        theta=theta_out,
-        variance=var_out,
-        v=v_out,
-        meta={"process": cfg.process, "engine": "generic"},
-    )

@@ -13,8 +13,8 @@ API:
 
 Because the predict/update math lives only in ``GradientFilterCore`` —
 the same object :func:`repro.core.gradient_ekf.estimate_track` drives
-offline — the streaming path is bit-identical to the offline scalar
-engine by construction; a unit test still pins the two to identical
+offline — the streaming path is bit-identical to the offline per-track
+loop by construction; a unit test still pins the two to identical
 outputs on real recordings.
 
 GPS-denied operation

@@ -8,7 +8,8 @@ stage objects (see :mod:`repro.core.stages`):
 2. **data adjustment** — lane-change detection (Algorithm 1) and Eq 2
    longitudinal-velocity correction;
 3. **road gradient estimation** — one EKF gradient track per velocity
-   source (GPS / speedometer / accelerometer / CAN-bus);
+   source (GPS / speedometer / accelerometer / CAN-bus), every track
+   through :func:`~repro.core.batch.estimate_tracks_batch`;
 4. **track fusion** — Eq 6 convex combination onto a position grid.
 
 The stage list itself lives in ``GradientSystemConfig.stages`` — plain
@@ -42,7 +43,6 @@ from .lane_change.detector import LaneChangeDetector, LaneChangeDetectorConfig, 
 from .sanitize import SanitizeConfig
 from .stages import (
     DEFAULT_STAGES,
-    EKF_ENGINES,
     ROBUST_STAGES,
     PipelineContext,
     Stage,
@@ -56,7 +56,6 @@ from .track_fusion import fuse_tracks
 from .trip_batch import BatchPipelineContext, TripBatch
 
 __all__ = [
-    "EKF_ENGINES",
     "ROBUST_STAGES",
     "GradientSystemConfig",
     "EstimationResult",
@@ -78,14 +77,6 @@ class GradientSystemConfig(SerializableConfig):
         Eq 2 on/off — the lane-change ablation switch.
     fusion_grid_spacing:
         Position grid step [m] for track fusion and the final profile.
-    ekf_engine:
-        ``"batch"`` (default) runs all velocity-source tracks through one
-        :func:`~repro.core.batch.estimate_tracks_batch` call, which picks
-        its loop by width: per track below ~28 tracks (so at a trip's 4
-        sources it runs the same loop as ``"scalar"``), vectorized above.
-        ``"scalar"`` keeps one :func:`estimate_track` call per source.
-        Both settings give bit-identical outputs (pinned by the batch
-        equivalence suite), and ``"batch"`` is never the slower one.
     cache_geometry:
         Wrap the road map in a :class:`~repro.roads.cache.CachedRoadProfile`
         so repeated geometry queries (curvature for ``w_road``, arc-length
@@ -120,8 +111,9 @@ class GradientSystemConfig(SerializableConfig):
         :class:`~repro.roads.prior_map.PriorGradeMap` is configured —
         prior-map gradient updates through outages. Disabled by default;
         when disabled the pipeline output is bit-identical to a config
-        without the field. Enabling it routes estimation through the
-        scalar EKF engine (the batch engine has no outage plan).
+        without the field. When enabled,
+        :func:`~repro.core.batch.estimate_tracks_batch` runs every track
+        through its per-track loop (the outage plan is not vectorized).
     """
 
     ekf: GradientEKFConfig = field(default_factory=GradientEKFConfig)
@@ -129,7 +121,6 @@ class GradientSystemConfig(SerializableConfig):
     velocity_sources: tuple[str, ...] = VELOCITY_SOURCES
     apply_lane_change_correction: bool = True
     fusion_grid_spacing: float = 5.0
-    ekf_engine: str = "batch"
     cache_geometry: bool = True
     sanitize: SanitizeConfig = field(default_factory=SanitizeConfig)
     min_track_finite_fraction: float = 0.5
@@ -157,11 +148,6 @@ class GradientSystemConfig(SerializableConfig):
             raise EstimationError(f"duplicate velocity sources: {dupes}")
         if self.fusion_grid_spacing <= 0.0:
             raise EstimationError("fusion grid spacing must be positive")
-        if self.ekf_engine not in EKF_ENGINES:
-            raise EstimationError(
-                f"unknown ekf_engine {self.ekf_engine!r}; "
-                f"valid options are {list(EKF_ENGINES)}"
-            )
         if not 0.0 <= self.min_track_finite_fraction <= 1.0:
             raise EstimationError(
                 f"min_track_finite_fraction must be in [0, 1], got "
@@ -350,7 +336,10 @@ class GradientEstimationSystem:
         entry point loop their serial ``run``); each trip's outputs,
         errors, health report and telemetry are identical to what a
         per-trip :meth:`estimate` call produces, but the interpreter and
-        dispatch cost is paid per batch instead of per trip. A failing
+        dispatch cost is paid per batch instead of per trip. (One
+        deliberate difference: a smoothed or GPS-denied batch wide enough
+        to vectorize counts ``ekf.scalar_fallback`` per track, and each
+        track's ``meta["loop"]`` names the loop that ran it.) A failing
         trip is isolated — it lands in :attr:`BatchEstimate.errors` while
         the rest of the batch completes.
 

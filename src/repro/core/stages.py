@@ -17,8 +17,8 @@ Stage ↔ paper mapping
 ``lane_change``           data adjustment: LOESS smoothing + Algorithm 1
                           detection (Eq 1 displacement rule)
 ``ekf_tracks``            gradient estimation: one EKF track per velocity
-                          source (Eq 2 correction applied per source), through
-                          the batch or scalar engine
+                          source (Eq 2 correction applied per source), all
+                          through one ``estimate_tracks_batch`` call
 ``fusion``                track fusion: Eq 6 convex combination on a position
                           grid
 ========================  =====================================================
@@ -43,7 +43,7 @@ from ..sensors.base import SampledSignal
 from ..sensors.phone import PhoneRecording
 from ..vehicle.params import VehicleParams
 from .batch import estimate_tracks_batch
-from .gradient_ekf import estimate_track
+from .gradient_ekf import track_timebase
 from .lane_change.correction import correct_velocity_signal
 from .lane_change.detector import LaneChangeDetector, LaneChangeEvent
 from .lane_change.smoothing import loess_smooth_batch
@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from .pipeline import GradientEstimationSystem, GradientSystemConfig
 
 __all__ = [
-    "EKF_ENGINES",
     "DEFAULT_STAGES",
     "ROBUST_STAGES",
     "STAGE_REGISTRY",
@@ -72,9 +71,6 @@ __all__ = [
     "run_stage_batch",
     "fusion_grid",
 ]
-
-#: The per-track EKF engines the track-estimation stage can dispatch to.
-EKF_ENGINES = ("batch", "scalar")
 
 #: The paper's Fig 1 dataflow, in order.
 DEFAULT_STAGES = ("alignment", "lane_change", "ekf_tracks", "fusion")
@@ -337,11 +333,12 @@ class TrackEstimationStage:
     """Gradient estimation: one EKF track per velocity source.
 
     The corrected velocity signals are prepared per source (Eq 2 when lane
-    changes were detected); the EKF then runs either through one
-    :func:`estimate_tracks_batch` call (engine ``"batch"``, which loops per
-    track at a trip's width and vectorizes wide flattened batches in
-    :meth:`run_batch`) or source-by-source (engine ``"scalar"``) — outputs
-    are bit-identical either way (see ``tests/core/test_batch_equivalence``).
+    changes were detected); every track then goes through one
+    :func:`estimate_tracks_batch` call, which picks its loop by width and
+    runs GPS-denied handling (``config.gps_denied``) itself. :meth:`run`
+    makes that call with one trip's tracks and :meth:`run_batch` with the
+    flattened tracks of every live trip; each track reports to its own
+    trip's telemetry and health monitor.
 
     Degraded sources do not take the trip down: a velocity source with no
     usable measurement at all (every sample invalid or non-finite, e.g. GPS
@@ -353,11 +350,10 @@ class TrackEstimationStage:
 
     name = "ekf_tracks"
 
-    def _prepare_signals(
-        self, ctx: PipelineContext, aligned: AlignedSteering
-    ) -> tuple[list[str], list[SampledSignal]]:
-        """Per-source corrected velocity signals, with degraded-source
-        rejection; raises when every configured source is rejected."""
+    def _prepare_signals(self, ctx: PipelineContext, aligned: AlignedSteering) -> None:
+        """Fill ``ctx.signals`` with the per-source corrected velocity
+        signals, with degraded-source rejection; raises when every
+        configured source is rejected."""
         cfg = ctx.config
         tel = ctx.telemetry
         signals: list[SampledSignal] = []
@@ -388,149 +384,80 @@ class TrackEstimationStage:
                 f"degraded to estimate"
             )
         ctx.signals = dict(zip(kept, signals))
-        return kept, signals
+
+    @staticmethod
+    def _estimate(
+        trips: list[tuple[PipelineContext, AlignedSteering]],
+        vehicle: VehicleParams,
+        cfg: "GradientSystemConfig",
+    ) -> None:
+        """Fill ``ctx.tracks`` of every trip from one flattened EKF call
+        over their prepared ``ctx.signals``."""
+        accels: list[SampledSignal] = []
+        signals: list[SampledSignal] = []
+        arcs: list[np.ndarray] = []
+        names: list[str | None] = []
+        tels: list[Telemetry | None] = []
+        mons: list[Any] = []
+        for ctx, aligned in trips:
+            n = len(ctx.signals)
+            accels.extend([ctx.recording.accel_long] * n)
+            signals.extend(ctx.signals.values())
+            arcs.extend([aligned.s] * n)
+            names.extend(ctx.signals)
+            tels.extend([ctx.telemetry] * n)
+            mons.extend([ctx.extras.get("health_monitor")] * n)
+        tracks = estimate_tracks_batch(
+            accels,
+            signals,
+            arcs,
+            vehicle=vehicle,
+            config=cfg.ekf,
+            names=names,
+            telemetries=tels,
+            monitors=mons,
+            gps_denied=cfg.gps_denied,
+        )
+        offset = 0
+        for ctx, _ in trips:
+            n = len(ctx.signals)
+            ctx.tracks = dict(zip(ctx.signals, tracks[offset : offset + n]))
+            offset += n
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        cfg = ctx.config
-        tel = ctx.telemetry
         aligned = ctx.require("aligned", self.name)
-        kept, signals = self._prepare_signals(ctx, aligned)
-        monitor = ctx.extras.get("health_monitor")
-        tracks: dict[str, GradientTrack] = {}
-        # GPS-denied handling (outage plan, prior-map updates) exists only
-        # in the scalar engine; an enabled config routes around the batch
-        # engine rather than silently dropping the outage behaviour.
-        gd = cfg.gps_denied if cfg.gps_denied.enabled else None
-        if cfg.ekf_engine == "batch" and len(signals) > 1 and gd is None:
-            n = len(signals)
-            batch = estimate_tracks_batch(
-                [ctx.recording.accel_long] * n,
-                signals,
-                [aligned.s] * n,
-                vehicle=ctx.vehicle,
-                config=cfg.ekf,
-                names=kept,
-                telemetry=tel,
-                monitor=monitor,
-            )
-            tracks = dict(zip(kept, batch))
-        else:
-            for source, signal in zip(kept, signals):
-                tracks[source] = estimate_track(
-                    ctx.recording.accel_long,
-                    signal,
-                    aligned.s,
-                    vehicle=ctx.vehicle,
-                    config=cfg.ekf,
-                    name=source,
-                    telemetry=tel,
-                    monitor=monitor,
-                    gps_denied=gd,
-                )
-        ctx.tracks = tracks
+        self._prepare_signals(ctx, aligned)
+        self._estimate([(ctx, aligned)], ctx.vehicle, ctx.config)
         return ctx
 
     def run_batch(self, bctx: BatchPipelineContext) -> None:
         """Estimate every live trip's tracks in one flattened EKF call.
 
-        With the ``"batch"`` engine, the (trip, source) tracks of all
-        multi-source trips flatten into a *single*
-        :func:`estimate_tracks_batch` call — each flattened track is
-        bit-identical to the per-trip call whichever loop the width picks,
-        and a wide batch pays the interpreter cost once per tick instead
-        of once per trip. Single-source trips, the
-        ``"scalar"`` engine, and configs with GPS-denied handling enabled
-        mirror :meth:`run` per trip. Per-track
-        telemetry and health monitoring report to each trip's own sinks.
+        Each flattened track is bit-identical to the per-trip call
+        whichever loop the width picks, and a wide batch pays the
+        interpreter cost once per tick instead of once per trip. Inputs
+        are validated per trip first, so one malformed trip fails alone
+        instead of aborting the shared call.
         """
-        cfg = bctx.config
-        prepared: list[
-            tuple[int, PipelineContext, AlignedSteering, list[str], list[SampledSignal]]
-        ] = []
+        prepared: list[tuple[PipelineContext, AlignedSteering]] = []
+        positions: list[int] = []
         for pos, ctx in list(bctx.live_items()):
             try:
                 aligned = ctx.require("aligned", self.name)
-                kept, signals = self._prepare_signals(ctx, aligned)
-                # Pre-validate per trip so one malformed trip cannot abort
-                # the flattened call; messages match the engine's own.
-                t_accel = ctx.recording.accel_long.t
-                if len(t_accel) < 2:
-                    raise EstimationError(
-                        "gradient estimation needs at least two samples"
-                    )
-                if np.asarray(aligned.s, dtype=float).shape != t_accel.shape:
-                    raise EstimationError(
-                        "arc-length array must match the accel timebase"
-                    )
+                self._prepare_signals(ctx, aligned)
+                track_timebase(ctx.recording.accel_long, aligned.s)
             except Exception as exc:  # noqa: BLE001 - per-trip isolation
                 bctx.fail(pos, exc)
                 continue
-            prepared.append((pos, ctx, aligned, kept, signals))
+            prepared.append((ctx, aligned))
+            positions.append(pos)
         if not prepared:
             return
-
-        gd = cfg.gps_denied if cfg.gps_denied.enabled else None
-        if cfg.ekf_engine == "batch" and gd is None:
-            multi = [entry for entry in prepared if len(entry[4]) > 1]
-            single = [entry for entry in prepared if len(entry[4]) == 1]
-        else:
-            multi, single = [], prepared
-
-        for pos, ctx, aligned, kept, signals in single:
-            try:
-                tracks: dict[str, GradientTrack] = {}
-                for source, signal in zip(kept, signals):
-                    tracks[source] = estimate_track(
-                        ctx.recording.accel_long,
-                        signal,
-                        aligned.s,
-                        vehicle=ctx.vehicle,
-                        config=cfg.ekf,
-                        name=source,
-                        telemetry=ctx.telemetry,
-                        monitor=ctx.extras.get("health_monitor"),
-                        gps_denied=gd,
-                    )
-                ctx.tracks = tracks
-            except Exception as exc:  # noqa: BLE001 - per-trip isolation
-                bctx.fail(pos, exc)
-
-        if not multi:
-            return
-        flat_accels: list[SampledSignal] = []
-        flat_signals: list[SampledSignal] = []
-        flat_s: list[np.ndarray] = []
-        flat_names: list[str] = []
-        flat_tels: list[Telemetry] = []
-        flat_mons: list[Any] = []
-        for pos, ctx, aligned, kept, signals in multi:
-            n = len(signals)
-            flat_accels.extend([ctx.recording.accel_long] * n)
-            flat_signals.extend(signals)
-            flat_s.extend([aligned.s] * n)
-            flat_names.extend(kept)
-            flat_tels.extend([ctx.telemetry] * n)
-            flat_mons.extend([ctx.extras.get("health_monitor")] * n)
         try:
-            flat_tracks = estimate_tracks_batch(
-                flat_accels,
-                flat_signals,
-                flat_s,
-                vehicle=bctx.vehicle,
-                config=cfg.ekf,
-                names=flat_names,
-                telemetries=flat_tels,
-                monitors=flat_mons,
-            )
+            self._estimate(prepared, bctx.vehicle, bctx.config)
         except Exception as exc:  # noqa: BLE001 - per-trip isolation
-            for pos, *_ in multi:
+            for pos in positions:
                 bctx.fail(pos, exc)
-            return
-        offset = 0
-        for pos, ctx, aligned, kept, signals in multi:
-            n = len(signals)
-            ctx.tracks = dict(zip(kept, flat_tracks[offset : offset + n]))
-            offset += n
 
 
 class FusionStage:

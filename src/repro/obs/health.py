@@ -303,7 +303,7 @@ class HealthMonitor:
     One instance per ``estimate()`` call. The pipeline runs
     :meth:`check_recording` on the raw recording before any stage touches
     it (the sanitize stage repairs NaN bursts, so the screen must see the
-    original); the EKF engines call :meth:`check_track` with each track's
+    original); both EKF loops call :meth:`check_track` with each track's
     recorded innovation sequence; :meth:`report` folds everything into the
     trip's :class:`HealthReport`. Telemetry (when active) gets one
     ``health.flag`` counter increment — labelled by flag kind and severity

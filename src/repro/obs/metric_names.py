@@ -28,6 +28,7 @@ METRIC_NAMES = frozenset(
         "ekf.covariance_reset",
         "ekf.final_theta_variance",
         "ekf.map_updates",
+        "ekf.scalar_fallback",
         "ekf_innovation_abs",
         "ekf_ticks",
         "ekf_updates",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import batch as ekf_batch
 from repro.roads import SectionSpec, build_profile
 from repro.sensors import Smartphone
 from repro.vehicle import DriverProfile, SimulationConfig, simulate_trip
@@ -52,3 +53,18 @@ def hill_recording(hill_trace):
 def rng():
     """A fresh seeded generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(params=["batch", "scalar"])
+def ekf_loop(request, monkeypatch):
+    """Which loop of ``estimate_tracks_batch`` runs the test's tracks.
+
+    ``"scalar"`` keeps the width dispatch, under which one trip's handful
+    of tracks run the per-track loop (``GradientFilterCore`` on Python
+    floats). ``"batch"`` lowers the vectorize threshold to one track, so
+    the same tracks run the vectorized numpy loop. Smoothed and GPS-denied
+    tracks run per track either way. Results must not depend on the loop.
+    """
+    if request.param == "batch":
+        monkeypatch.setattr(ekf_batch, "_VECTORIZE_MIN_TRACKS", 1)
+    return request.param

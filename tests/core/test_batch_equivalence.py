@@ -1,4 +1,4 @@
-"""Batched EKF engine equivalence: both loops == looped scalar, bit for bit.
+"""Offline EKF loop equivalence: vectorized == per-track, bit for bit.
 
 :func:`repro.core.batch.estimate_tracks_batch` runs narrow batches track by
 track through :func:`repro.core.gradient_ekf.estimate_track` and wide ones
@@ -23,11 +23,14 @@ from repro.core.batch import (
     _vectorized_tracks,
     estimate_tracks_batch,
 )
+from repro.core.dead_reckoning import GPSDeniedConfig
 from repro.core.gradient_ekf import GradientEKFConfig, estimate_track
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
-from repro.errors import EstimationError
+from repro.core.stages import PipelineContext
+from repro.core.track_fusion import fuse_tracks
+from repro.errors import DegradedInputError, EstimationError
 from repro.obs import Telemetry
 from repro.roads import SectionSpec, build_profile
 from repro.sensors import Smartphone
@@ -134,7 +137,7 @@ def _assert_tracks_equal(batch_tracks, scalar_tracks):
 
 class TestDirectEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("process", ["specific_force", "accelerometer"])
+    @pytest.mark.parametrize("process", ["specific_force", "paper"])
     def test_mixed_batch_matches_scalar(self, seed, process):
         accels, velocities, arcs = _mixed_batch(seed)
         cfg = GradientEKFConfig(process=process)
@@ -154,7 +157,9 @@ class TestDirectEquivalence:
     def test_innovations_and_counters_match_scalar(self):
         accels, velocities, arcs = _mixed_batch(9)
         tel_b, tel_s = Telemetry("batch"), Telemetry("scalar")
-        estimate_tracks_batch(accels, velocities, arcs, telemetry=tel_b)
+        estimate_tracks_batch(
+            accels, velocities, arcs, telemetries=[tel_b] * len(accels)
+        )
         for a, v, s in zip(accels, velocities, arcs):
             estimate_track(a, v, s, telemetry=tel_s)
         snap_b = tel_b.metrics.snapshot()
@@ -179,16 +184,26 @@ class TestDirectEquivalence:
             assert np.array_equal(got.variance, want.variance)
 
     def test_bootstrap_without_finite_measurements_matches(self):
-        # A velocity source that never reports forces the accel-based v0
-        # bootstrap path; estimate_track raises in that case and so must
-        # the batch engine.
+        # A velocity source that never reports leaves no measurement to
+        # seed v0 from; estimate_track raises in that case and so must
+        # the batch entry point.
         a, v, s = _synthetic_track(400, 0.02, seed=11)
         v.values[:] = np.nan
         v.valid[:] = False
-        with pytest.raises(EstimationError):
+        with pytest.raises(DegradedInputError):
             estimate_track(a, v, s)
-        with pytest.raises(EstimationError):
+        with pytest.raises(DegradedInputError):
             estimate_tracks_batch([a], [v], [s])
+
+    @pytest.mark.parametrize("width", [4, _VECTORIZE_MIN_TRACKS])
+    def test_source_without_valid_samples_raises(self, width):
+        # Both loops seed v0 from the first measurement only; a source
+        # with none is rejected before either loop starts.
+        accels, velocities, arcs = _sweep_batch(width, seed=12)
+        dead = velocities[width // 2]
+        dead.values[:] = np.nan
+        with pytest.raises(DegradedInputError, match=dead.name):
+            estimate_tracks_batch(accels, velocities, arcs)
 
     def test_length_mismatch_rejected(self):
         a, v, s = _synthetic_track(400, 0.02, seed=0)
@@ -205,7 +220,8 @@ class TestDirectEquivalence:
             accels, velocities, arcs, names=["a", "b", "c", "d"]
         )
         assert [t.name for t in named] == ["a", "b", "c", "d"]
-        assert all(t.meta["engine"] == "batch" for t in named)
+        assert all(t.meta["loop"] == "per_track" for t in named)
+        assert all("engine" not in t.meta for t in named)
         default = estimate_tracks_batch(accels, velocities, arcs)
         assert [t.name for t in default] == [v.name for v in velocities]
 
@@ -222,7 +238,6 @@ class TestDirectEquivalence:
         accels, velocities, arcs = _sweep_batch(width, seed=4)
         cfg = GradientEKFConfig(smooth=smooth)
         tracks = estimate_tracks_batch(accels, velocities, arcs, config=cfg)
-        assert all(t.meta["engine"] == "batch" for t in tracks)
         assert all(t.meta["loop"] == loop for t in tracks)
         want = [
             estimate_track(a, v, s, config=cfg)
@@ -230,6 +245,34 @@ class TestDirectEquivalence:
         ]
         for got, ref in zip(tracks, want):
             assert got.meta["measurement_std"] == ref.meta["measurement_std"]
+
+    @pytest.mark.parametrize("width", [4, _VECTORIZE_MIN_TRACKS])
+    @pytest.mark.parametrize("reason", ["smooth", "gps_denied"])
+    def test_forced_per_track_loop_is_counted(self, width, reason):
+        # A batch wide enough to vectorize that runs per track anyway
+        # counts the fallback on every track's sink; a narrow one, which
+        # runs per track by choice, stays silent.
+        accels, velocities, arcs = _sweep_batch(width, seed=6)
+        tels = [Telemetry(f"track-{k}") for k in range(width)]
+        kwargs = (
+            {"config": GradientEKFConfig(smooth=True)}
+            if reason == "smooth"
+            else {"gps_denied": GPSDeniedConfig(enabled=True)}
+        )
+        tracks = estimate_tracks_batch(
+            accels, velocities, arcs, telemetries=tels, **kwargs
+        )
+        assert all(t.meta["loop"] == "per_track" for t in tracks)
+        for tel in tels:
+            counters = tel.metrics.snapshot()["counters"]
+            fired = {k: n for k, n in counters.items() if "scalar_fallback" in k}
+            if width >= _VECTORIZE_MIN_TRACKS:
+                counter = tel.metrics.counter(
+                    "ekf.scalar_fallback", {"reason": reason}
+                )
+                assert fired == {counter.name: 1}
+            else:
+                assert fired == {}
 
 
 SWEEP_WIDTHS = sorted(
@@ -242,7 +285,7 @@ class TestLoopsBitIdentical:
     """The vectorized loop and per-track estimate_track agree bit for bit."""
 
     @pytest.mark.parametrize("width", SWEEP_WIDTHS)
-    @pytest.mark.parametrize("process", ["specific_force", "accelerometer"])
+    @pytest.mark.parametrize("process", ["specific_force", "paper"])
     def test_width_sweep(self, width, process):
         accels, velocities, arcs = _sweep_batch(width, seed=width)
         cfg = GradientEKFConfig(process=process)
@@ -265,7 +308,7 @@ class TestLoopsBitIdentical:
             estimate_track(a, v, s, telemetry=tel_s)
         assert tel_b.metrics.snapshot() == tel_s.metrics.snapshot()
 
-    @pytest.mark.parametrize("process", ["specific_force", "accelerometer"])
+    @pytest.mark.parametrize("process", ["specific_force", "paper"])
     def test_total_outage_fixture(self, process):
         # The sources the pipeline keeps when GPS never fixes, from the
         # recordings of two seeds, so the batch mixes track lengths.
@@ -286,7 +329,7 @@ class TestLoopsBitIdentical:
         )
 
 
-# -- full pipeline: ekf_engine="batch" vs "scalar" ---------------------------
+# -- full pipeline: the stage's tracks vs the vectorized loop ----------------
 
 ROUTES = {
     "rolling": dict(
@@ -322,14 +365,25 @@ def _route_recording(route: str, seed: int, density: float):
     return profile, rec
 
 
-def _run_engine(route: str, seed: int, density: float, engine: str):
+def _trip_context(route: str, seed: int, density: float) -> PipelineContext:
+    """Run the default stages on one recording, keeping the context (the
+    corrected velocity signals included)."""
     profile, rec = _route_recording(route, seed, density)
     cfg = GradientSystemConfig(
         detector=LaneChangeDetectorConfig(thresholds=TH),
         velocity_sources=ROUTES[route]["sources"],
-        ekf_engine=engine,
     )
-    return GradientEstimationSystem(profile, config=cfg).estimate(rec)
+    system = GradientEstimationSystem(profile, config=cfg)
+    ctx = PipelineContext(
+        recording=rec,
+        config=cfg,
+        road_map=system.road_map,
+        vehicle=system.vehicle,
+        telemetry=system.telemetry,
+    )
+    for stage in system.stages:
+        ctx = stage.run(ctx)
+    return ctx
 
 
 class TestPipelineEquivalence:
@@ -337,35 +391,48 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("seed", [17, 99])
     @pytest.mark.parametrize("density", [0.0, 3.0])
     def test_engines_agree(self, route, seed, density):
-        res_b = _run_engine(route, seed, density, "batch")
-        res_s = _run_engine(route, seed, density, "scalar")
-        assert np.array_equal(res_b.s_grid, res_s.s_grid)
-        assert res_b.n_lane_changes == res_s.n_lane_changes
-        assert set(res_b.tracks) == set(res_s.tracks)
-        for source in res_b.tracks:
-            got, want = res_b.tracks[source], res_s.tracks[source]
-            assert np.array_equal(got.theta, want.theta)
-            assert np.array_equal(got.variance, want.variance)
-            assert np.array_equal(got.v, want.v)
-        assert np.array_equal(res_b.fused.theta, res_s.fused.theta)
+        # The stage runs a trip's few tracks per track; the vectorized
+        # loop on the same corrected signals must reproduce them.
+        ctx = _trip_context(route, seed, density)
+        names = list(ctx.signals)
+        n = len(names)
+        vectorized = _vectorized(
+            [ctx.recording.accel_long] * n,
+            list(ctx.signals.values()),
+            [ctx.aligned.s] * n,
+        )
+        assert names == list(ctx.tracks)
+        assert all(t.meta["loop"] == "per_track" for t in ctx.tracks.values())
+        _assert_tracks_equal(vectorized, list(ctx.tracks.values()))
+        fused = fuse_tracks(vectorized, ctx.s_grid, name="fused")
+        assert np.array_equal(fused.theta, ctx.fused.theta)
+        assert np.array_equal(fused.variance, ctx.fused.variance)
 
     def test_outage_recording_has_no_fix(self):
         _, rec = _route_recording("outage", 17, 0.0)
         assert rec.gps.availability == 0.0
 
-    def test_batch_engine_telemetry_matches_scalar(self):
+    def test_batch_engine_telemetry_matches_scalar(self, monkeypatch):
+        # The whole pipeline's telemetry is the same whichever loop runs
+        # the tracks.
         profile, rec = _route_recording("rolling", 17, 3.0)
-        snaps = {}
-        for engine in ("batch", "scalar"):
-            tel = Telemetry(engine)
-            cfg = GradientSystemConfig(
-                detector=LaneChangeDetectorConfig(thresholds=TH),
-                ekf_engine=engine,
-            )
-            GradientEstimationSystem(profile, config=cfg, telemetry=tel).estimate(rec)
-            snaps[engine] = tel.metrics.snapshot()
-        assert snaps["batch"]["counters"] == snaps["scalar"]["counters"]
-        hist_b = snaps["batch"]["histograms"]["ekf_innovation_abs"]
-        hist_s = snaps["scalar"]["histograms"]["ekf_innovation_abs"]
-        assert hist_b["count"] == hist_s["count"]
-        assert hist_b["sum"] == hist_s["sum"]
+        cfg = GradientSystemConfig(detector=LaneChangeDetectorConfig(thresholds=TH))
+        snaps, loops = {}, {}
+        for loop, min_tracks in (("vectorized", 1), ("per_track", None)):
+            tel = Telemetry(loop)
+            with monkeypatch.context() as mp:
+                if min_tracks is not None:
+                    mp.setattr(
+                        "repro.core.batch._VECTORIZE_MIN_TRACKS", min_tracks
+                    )
+                res = GradientEstimationSystem(
+                    profile, config=cfg, telemetry=tel
+                ).estimate(rec)
+            snaps[loop] = tel.metrics.snapshot()
+            loops[loop] = {t.meta["loop"] for t in res.tracks.values()}
+        assert loops == {"vectorized": {"vectorized"}, "per_track": {"per_track"}}
+        assert snaps["vectorized"]["counters"] == snaps["per_track"]["counters"]
+        hist_v = snaps["vectorized"]["histograms"]["ekf_innovation_abs"]
+        hist_p = snaps["per_track"]["histograms"]["ekf_innovation_abs"]
+        assert hist_v["count"] == hist_p["count"]
+        assert hist_v["sum"] == hist_p["sum"]

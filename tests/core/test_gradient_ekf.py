@@ -5,13 +5,14 @@ import pytest
 
 from repro.constants import GRAVITY
 from repro.core.gradient_ekf import (
+    PROCESS_MODELS,
     GradientEKFConfig,
     estimate_track,
-    estimate_track_generic,
     measurements_on_timebase,
 )
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.sensors.base import SampledSignal
+from tests.oracles.generic_engine import estimate_track_generic
 
 
 def synthetic_signals(theta=0.04, v0=12.0, n=4000, dt=0.02, noise=0.0, seed=0):
@@ -137,6 +138,20 @@ class TestConfig:
 
     def test_std_for_unknown_fallback(self):
         assert GradientEKFConfig().std_for("mystery") == 0.5
+
+    def test_unknown_process_rejected(self):
+        with pytest.raises(ConfigurationError, match="specfic_force") as excinfo:
+            GradientEKFConfig(process="specfic_force")
+        for valid in PROCESS_MODELS:
+            assert valid in str(excinfo.value)
+
+    def test_unknown_process_rejected_from_dict(self):
+        with pytest.raises(ConfigurationError, match="valid options"):
+            GradientEKFConfig.from_dict({"process": "accelerometer"})
+
+    def test_process_models_accepted(self):
+        for process in PROCESS_MODELS:
+            assert GradientEKFConfig.from_dict({"process": process}).process == process
 
     def test_track_name_defaults_to_source(self):
         accel, vel, s = synthetic_signals(n=100)

@@ -1,28 +1,33 @@
-"""GPS-denied through the offline engine and the full pipeline.
+"""GPS-denied through the offline filter and the full pipeline.
 
 Pins three contracts: the offline ``estimate_track`` fuses prior-map
 gradients and inflates at reacquisition (with counters and meta to show
-for it), the batch engine routes GPS-denied configs through the scalar
-path so both ``ekf_engine`` settings agree exactly, and a disabled
-``GPSDeniedConfig`` leaves pipeline outputs bit-identical to a config
-that never mentions it.
+for it); ``estimate_tracks_batch`` runs GPS-denied tracks through its
+per-track loop even when the batch is wide enough to vectorize, so
+per-trip ``estimate`` and batched ``estimate_batch`` agree exactly; and a
+disabled ``GPSDeniedConfig`` leaves pipeline outputs bit-identical to a
+config that never mentions it.
 """
 
 import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
+from repro.core import batch as ekf_batch
+from repro.core.batch import _VECTORIZE_MIN_TRACKS, _vectorized_tracks
 from repro.core.dead_reckoning import GPSDeniedConfig
 from repro.core.gradient_ekf import GradientEKFConfig, estimate_track
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
+from repro.core.stages import PipelineContext
+from repro.faults import FaultSpec, FaultSuiteConfig, apply_fault_suite
 from repro.obs import Telemetry
 from repro.roads import SectionSpec, build_profile
 from repro.roads.prior_map import PriorGradeMap
 from repro.sensors import Smartphone
 from repro.sensors.base import SampledSignal
-from repro.vehicle import DriverProfile, simulate_trip
+from repro.vehicle import DEFAULT_VEHICLE, DriverProfile, simulate_trip
 
 TH = LaneChangeThresholds(delta=0.05, duration=0.5)
 
@@ -126,45 +131,149 @@ class TestPipelineRouting:
         rec = Smartphone().record(trace, np.random.default_rng(10))
         return profile, rec
 
-    def make_cfg(self, engine, gd):
+    def make_cfg(self, gd):
         return GradientSystemConfig(
-            detector=LaneChangeDetectorConfig(thresholds=TH),
-            ekf_engine=engine,
-            gps_denied=gd,
+            detector=LaneChangeDetectorConfig(thresholds=TH), gps_denied=gd
         )
 
-    def test_batch_engine_routes_to_scalar_when_enabled(self, trip):
+    def test_batch_engine_routes_to_scalar_when_enabled(self, trip, monkeypatch):
+        # Even with the vectorize threshold at one track, GPS-denied tracks
+        # run the per-track loop: each pipeline track equals estimate_track
+        # with the outage plan on the same corrected signal, and differs
+        # from the vectorized loop (which has no plan) on that signal.
         profile, rec = trip
-        results = {}
-        for engine in ("scalar", "batch"):
-            system = GradientEstimationSystem(
-                profile, config=self.make_cfg(engine, GD)
+        monkeypatch.setattr(ekf_batch, "_VECTORIZE_MIN_TRACKS", 1)
+        cfg = self.make_cfg(GD)
+        system = GradientEstimationSystem(profile, config=cfg)
+        ctx = PipelineContext(
+            recording=rec,
+            config=cfg,
+            road_map=system.road_map,
+            vehicle=system.vehicle,
+            telemetry=Telemetry("gd-routing"),
+        )
+        for stage in system.stages:
+            ctx = stage.run(ctx)
+        signals = list(ctx.signals.values())
+        n = len(signals)
+        vectorized = _vectorized_tracks(
+            [rec.accel_long] * n,
+            signals,
+            [ctx.aligned.s] * n,
+            DEFAULT_VEHICLE,
+            cfg.ekf,
+            list(ctx.signals),
+            [None] * n,
+            [None] * n,
+        )
+        planned = 0
+        for (name, signal), plain in zip(ctx.signals.items(), vectorized):
+            got = ctx.tracks[name]
+            want = estimate_track(
+                rec.accel_long, signal, ctx.aligned.s, name=name, gps_denied=GD
             )
-            results[engine] = system.estimate(rec)
-        # Identical, not merely close: the batch engine must defer to the
-        # scalar path whenever GPS-denied handling is enabled.
-        assert np.array_equal(
-            results["scalar"].fused.theta, results["batch"].fused.theta
+            assert got.meta["loop"] == "per_track"
+            assert np.array_equal(got.theta, want.theta)
+            assert np.array_equal(got.variance, want.variance)
+            assert np.array_equal(got.v, want.v)
+            assert got.meta.get("gps_denied") == want.meta.get("gps_denied")
+            if "gps_denied" in got.meta:
+                planned += 1
+                assert not np.array_equal(got.variance, plain.variance)
+        assert planned > 0
+        fallback = ctx.telemetry.metrics.counter(
+            "ekf.scalar_fallback", {"reason": "gps_denied"}
         )
-        assert np.array_equal(
-            results["scalar"].fused.variance, results["batch"].fused.variance
-        )
+        assert fallback.value == n
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_disabled_config_is_bit_identical(self, trip, engine):
+    def test_disabled_config_is_bit_identical(self, trip, ekf_loop):
         profile, rec = trip
         base = GradientEstimationSystem(
             profile,
             config=GradientSystemConfig(
-                detector=LaneChangeDetectorConfig(thresholds=TH), ekf_engine=engine
+                detector=LaneChangeDetectorConfig(thresholds=TH)
             ),
         ).estimate(rec)
         gated = GradientEstimationSystem(
-            profile, config=self.make_cfg(engine, GPSDeniedConfig(enabled=False))
+            profile, config=self.make_cfg(GPSDeniedConfig(enabled=False))
         ).estimate(rec)
         assert np.array_equal(base.fused.theta, gated.fused.theta)
 
     def test_gps_denied_config_serializes_through_system_config(self):
-        cfg = self.make_cfg("scalar", GD)
+        cfg = self.make_cfg(GD)
         rebuilt = GradientSystemConfig.from_dict(cfg.to_dict())
         assert rebuilt.gps_denied == GD
+
+
+class TestBatchedGPSDenied:
+    """``estimate_batch`` over a fleet of dropout trips wide enough that the
+    flattened batch would vectorize, with a prior map: identical to
+    per-trip ``estimate``."""
+
+    N_TRIPS = -(-_VECTORIZE_MIN_TRACKS // 4)  # 4 sources per trip
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        profile = build_profile(
+            [
+                SectionSpec.from_degrees(500.0, 2.5, 2),
+                SectionSpec.from_degrees(400.0, -1.5, 2, turn_deg=20.0),
+            ],
+            name="gd-fleet-route",
+        )
+        dropout = FaultSuiteConfig(
+            faults=(FaultSpec(kind="gps_dropout", start_s=15.0, duration_s=20.0),)
+        )
+        recs = []
+        for i in range(self.N_TRIPS):
+            trace = simulate_trip(
+                profile, DriverProfile(lane_changes_per_km=1.0), seed=40 + i
+            )
+            rec = Smartphone().record(trace, np.random.default_rng(80 + i))
+            recs.append(apply_fault_suite(rec, dropout, i))
+        prior = PriorGradeMap(
+            s=profile.s, theta=profile.grade, variance=np.full(len(profile.s), 1e-5)
+        )
+        return profile, recs, prior
+
+    def test_estimate_batch_matches_estimate(self, fleet):
+        profile, recs, prior = fleet
+        cfg = GradientSystemConfig(
+            detector=LaneChangeDetectorConfig(thresholds=TH),
+            gps_denied=GPSDeniedConfig(enabled=True, prior_map=prior.to_config()),
+        )
+        serial_tels = [Telemetry(f"serial-{i}") for i in range(len(recs))]
+        serial = [
+            GradientEstimationSystem(profile, config=cfg, telemetry=tel).estimate(rec)
+            for rec, tel in zip(recs, serial_tels)
+        ]
+        batch_tels = [Telemetry(f"batch-{i}") for i in range(len(recs))]
+        batched = GradientEstimationSystem(profile, config=cfg).estimate_batch(
+            recs, telemetries=batch_tels
+        )
+        assert batched.errors == {}
+        assert sum(len(r.tracks) for r in serial) >= _VECTORIZE_MIN_TRACKS
+
+        map_updates = 0
+        for want, got, tel_s, tel_b in zip(
+            serial, batched.results, serial_tels, batch_tels
+        ):
+            assert np.array_equal(got.fused.theta, want.fused.theta)
+            assert np.array_equal(got.fused.variance, want.fused.variance)
+            assert list(got.tracks) == list(want.tracks)
+            for name, track in want.tracks.items():
+                assert np.array_equal(got.tracks[name].theta, track.theta)
+                assert np.array_equal(got.tracks[name].variance, track.variance)
+                assert got.tracks[name].meta.get("gps_denied") == track.meta.get(
+                    "gps_denied"
+                )
+                assert got.tracks[name].meta["loop"] == "per_track"
+            updates = tel_s.metrics.counter("ekf.map_updates").value
+            assert tel_b.metrics.counter("ekf.map_updates").value == updates
+            map_updates += updates
+            # The wide batch ran per track because of the outage plan.
+            fallback = tel_b.metrics.counter(
+                "ekf.scalar_fallback", {"reason": "gps_denied"}
+            )
+            assert fallback.value == len(got.tracks)
+        assert map_updates > 0

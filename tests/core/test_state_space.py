@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import GRAVITY
-from repro.core.state_space import PROCESS_MODELS, GradientStateSpace
+from repro.core.gradient_ekf import PROCESS_MODELS
 from repro.errors import ConfigurationError
 from repro.vehicle.params import DEFAULT_VEHICLE
+from tests.oracles.state_space import GradientStateSpace
 
 
 def make_model(process="specific_force", dt=0.02):

@@ -152,11 +152,8 @@ def _assert_results_equal(a, b):
 
 
 class TestEstimateBatch:
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_bit_identical_to_serial(self, profile, fleet, engine):
-        cfg = dataclasses.replace(
-            system_config(RunnerConfig(n_trips=4, seed=5)), ekf_engine=engine
-        )
+    def test_bit_identical_to_serial(self, profile, fleet, ekf_loop):
+        cfg = system_config(RunnerConfig(n_trips=4, seed=5))
         system = GradientEstimationSystem(road_map=profile, config=cfg)
         serial = [system.estimate(r) for r in fleet]
         batched = system.estimate_batch(fleet)

@@ -2,7 +2,8 @@
 
 The acceptance contract for the monitors:
 
-* clean simulated drives produce zero flags on **both** EKF engines;
+* clean simulated drives produce zero flags on **both** EKF loops
+  (per-track and vectorized);
 * every fault kind at high severity produces at least one flagged
   verdict somewhere in the report;
 * monitoring is purely passive — estimates are bit-identical with the
@@ -20,11 +21,9 @@ from repro.faults.suite import FAULT_KINDS, apply_fault_suite
 from repro.obs.health import HealthConfig
 
 
-def _config(red_thresholds, engine="batch", **kwargs):
+def _config(red_thresholds, **kwargs):
     return GradientSystemConfig(
-        detector=LaneChangeDetectorConfig(thresholds=red_thresholds),
-        ekf_engine=engine,
-        **kwargs,
+        detector=LaneChangeDetectorConfig(thresholds=red_thresholds), **kwargs
     )
 
 
@@ -39,12 +38,11 @@ def faulted_recordings(red_recording):
 
 
 class TestCleanRuns:
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_clean_drive_is_unflagged(
-        self, red_profile, red_recording, red_thresholds, engine
+        self, red_profile, red_recording, red_thresholds, ekf_loop
     ):
         system = GradientEstimationSystem(
-            red_profile, config=_config(red_thresholds, engine)
+            red_profile, config=_config(red_thresholds)
         )
         result = system.estimate(red_recording)
         assert result.health is not None
@@ -97,18 +95,15 @@ class TestDetection:
 
 
 class TestPassivity:
-    @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_outputs_bit_identical_with_monitoring_off(
-        self, red_profile, red_recording, red_thresholds, engine
+        self, red_profile, red_recording, red_thresholds, ekf_loop
     ):
         on = GradientEstimationSystem(
-            red_profile, config=_config(red_thresholds, engine)
+            red_profile, config=_config(red_thresholds)
         ).estimate(red_recording)
         off = GradientEstimationSystem(
             red_profile,
-            config=_config(
-                red_thresholds, engine, health=HealthConfig(enabled=False)
-            ),
+            config=_config(red_thresholds, health=HealthConfig(enabled=False)),
         ).estimate(red_recording)
         assert np.array_equal(on.fused.theta, off.fused.theta)
         assert np.array_equal(on.fused.variance, off.fused.variance)

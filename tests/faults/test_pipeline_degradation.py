@@ -23,17 +23,16 @@ def _system(profile, thresholds=TH, telemetry=None, **cfg_kw):
 
 class TestCleanInputIdentity:
     """The acceptance pin: sanitize-on must be a bit-identical no-op on
-    clean recordings — red route, both EKF engines."""
+    clean recordings — red route, both EKF loops."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_red_route_bit_identity(
-        self, red_profile, red_recording, red_thresholds, engine
+        self, red_profile, red_recording, red_thresholds, ekf_loop
     ):
         plain = _system(
-            red_profile, red_thresholds, ekf_engine=engine, stages=DEFAULT_STAGES
+            red_profile, red_thresholds, stages=DEFAULT_STAGES
         ).estimate(red_recording)
         robust = _system(
-            red_profile, red_thresholds, ekf_engine=engine, stages=ROBUST_STAGES
+            red_profile, red_thresholds, stages=ROBUST_STAGES
         ).estimate(red_recording)
 
         np.testing.assert_array_equal(robust.fused.theta, plain.fused.theta)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import batch as ekf_batch
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.datasets.steering_study import calibrated_thresholds
@@ -86,29 +87,36 @@ class TestGridReproducesResilience:
 
 class TestGoldenCells:
     @pytest.mark.parametrize("style", ["safe", "normal", "aggressive"])
-    def test_clean_rmse_per_style_on_both_engines(self, red_profile, style):
-        """Each driver style's clean cell holds on batch AND scalar EKF."""
+    def test_clean_rmse_per_style_on_both_engines(
+        self, red_profile, style, monkeypatch
+    ):
+        """Each driver style's clean cell holds on the vectorized ("batch")
+        AND the per-track ("scalar") EKF loop."""
         runner = RunnerConfig(seed=3, scenario=ScenarioConfig().with_driver(style))
         _, rec = simulate_recording(red_profile, runner, 0)
+        sys_cfg = GradientSystemConfig(
+            detector=LaneChangeDetectorConfig(thresholds=calibrated_thresholds())
+        )
 
-        rmse = {}
-        for engine in ("batch", "scalar"):
-            sys_cfg = GradientSystemConfig(
-                detector=LaneChangeDetectorConfig(
-                    thresholds=calibrated_thresholds()
-                ),
-                ekf_engine=engine,
-            )
-            res = GradientEstimationSystem(red_profile, config=sys_cfg).estimate(rec)
+        rmse, loops = {}, {}
+        for loop, min_tracks in (("batch", 1), ("scalar", None)):
+            with monkeypatch.context() as mp:
+                if min_tracks is not None:
+                    mp.setattr(ekf_batch, "_VECTORIZE_MIN_TRACKS", min_tracks)
+                res = GradientEstimationSystem(red_profile, config=sys_cfg).estimate(
+                    rec
+                )
+            loops[loop] = {t.meta["loop"] for t in res.tracks.values()}
             # Score on the trimmed interior, like the evaluation runner.
             mask = (res.s_grid >= runner.trim_m) & (
                 res.s_grid <= red_profile.length - runner.trim_m
             )
             truth = np.interp(res.s_grid[mask], red_profile.s, red_profile.grade)
-            rmse[engine] = root_mean_square_error(
+            rmse[loop] = root_mean_square_error(
                 res.fused.theta[mask], truth, degrees=True
             )
-            assert rmse[engine] < GOLDEN_RMSE_DEG, (style, engine, rmse[engine])
+            assert rmse[loop] < GOLDEN_RMSE_DEG, (style, loop, rmse[loop])
 
-        # The engines are two implementations of one filter.
-        assert abs(rmse["batch"] - rmse["scalar"]) < 1e-6
+        assert loops == {"batch": {"vectorized"}, "scalar": {"per_track"}}
+        # The loops are two implementations of one filter.
+        assert rmse["batch"] == rmse["scalar"]
