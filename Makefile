@@ -2,7 +2,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: check lint lint-rules typecheck metric-names test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied profile benchtrack benchtrack-report
+.PHONY: check lint lint-rules typecheck metric-names test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied profile benchtrack benchtrack-report golden
 
 # Fast-lane coverage floor enforced in the CI PR lane (see ci.yml):
 # measured 94.6% line coverage over src/repro, floored at measured - 1.
@@ -90,3 +90,8 @@ benchtrack:
 
 benchtrack-report:
 	PYTHONPATH=src python -m repro.obs.benchtrack report benchmarks/
+
+# Freeze the simulator's golden traces (tests/golden/sim_*.npz). Run only when
+# a change is meant to alter the traces, and record it in CHANGES.md.
+golden:
+	PYTHONPATH=src python -m tests.golden.simulator

@@ -6,6 +6,19 @@ changes are initiated by the driver model on multi-lane stretches and
 executed as calibrated steering-rate doublets; between maneuvers a gentle
 lane-keeping controller plus road-roughness jitter keeps the steering-rate
 signal realistic (the paper's bump detector must reject this background).
+
+A run has two parts:
+
+* **The tick loop** carries only what feeds back into the dynamics or the
+  random stream: speed, position, heading deviation, lane and maneuver
+  state, and the driver's draws (traffic phase, steering jitter, lane-change
+  decisions and plans, in that order). Each tick looks up its road cell
+  once and interpolates grade and curvature from it; a maneuver's steering
+  rates are evaluated once, on its whole clock, when it starts.
+* **The post-pass** derives every field that depends only on the recorded
+  states -- elevation, road heading, planar position, vehicle heading, yaw
+  rate and GPS availability -- vectorized over the trip from the recorded
+  road cells, with the same per-element expressions a tick would use.
 """
 
 from __future__ import annotations
@@ -60,6 +73,9 @@ class SimulationConfig:
         zone limit applies on top of ``speed_limit`` (the tighter of the
         two wins); outside every zone only ``speed_limit`` applies. The
         empty default changes nothing — the scenario layer's off-switch.
+    max_duration_s:
+        Time budget [s] for reaching the route end; running out raises
+        :class:`ConfigurationError` rather than returning a truncated trace.
     """
 
     sample_rate: float = PHONE_SAMPLE_RATE_HZ
@@ -79,6 +95,8 @@ class SimulationConfig:
             raise ConfigurationError("sample rate must be positive")
         if not (0.0 <= self.traffic_modulation < 1.0):
             raise ConfigurationError("traffic modulation must be in [0, 1)")
+        if self.max_duration_s <= 0.0:
+            raise ConfigurationError("max_duration_s must be positive")
         for position, duration in self.stops:
             if position < 0.0 or duration < 0.0:
                 raise ConfigurationError("stops need non-negative position/duration")
@@ -99,7 +117,7 @@ class SimulationConfig:
 
 
 class _UniformSampler:
-    """O(1) linear interpolation on the profile's (near-)uniform grid."""
+    """O(1) grid-cell lookup on the profile's (near-)uniform grid."""
 
     def __init__(self, profile: RoadProfile) -> None:
         ds = np.diff(profile.s)
@@ -107,17 +125,11 @@ class _UniformSampler:
         self.ds = float(ds[0])
         self.s0 = float(profile.s[0])
         self.n = len(profile.s)
-        self.profile = profile
-        self.grade = profile.grade
-        self.curvature = profile.curvature
-        self.z = profile.z
-        self.heading = profile.heading
-        self.x = profile.xy[:, 0]
-        self.y = profile.xy[:, 1]
         self.lanes = profile.lanes
         self.s_grid = profile.s
 
-    def _locate(self, s: float) -> tuple[int, float]:
+    def locate(self, s: float) -> tuple[int, float]:
+        """Cell index ``i`` and fraction ``f`` in [0, 1] with ``s`` in cell i."""
         if self.uniform:
             pos = (s - self.s0) / self.ds
             idx = int(pos)
@@ -129,21 +141,38 @@ class _UniformSampler:
         idx = int(np.searchsorted(self.s_grid, s, side="right")) - 1
         idx = min(max(idx, 0), self.n - 2)
         frac = (s - self.s_grid[idx]) / (self.s_grid[idx + 1] - self.s_grid[idx])
-        return idx, min(max(frac, 0.0), 1.0)
-
-    def field(self, table: np.ndarray, s: float) -> float:
-        idx, frac = self._locate(s)
-        return float(table[idx] + frac * (table[idx + 1] - table[idx]))
+        return idx, float(min(max(frac, 0.0), 1.0))
 
     def lane_count(self, s: float) -> int:
-        idx, _ = self._locate(s)
+        idx, _ = self.locate(s)
         return int(self.lanes[idx])
 
     def min_lanes_ahead(self, s: float, horizon: float) -> int:
         """Minimum lane count over [s, s + horizon] (maneuver feasibility)."""
-        i0, _ = self._locate(s)
-        i1, _ = self._locate(min(s + horizon, self.s_grid[-1]))
+        i0, _ = self.locate(s)
+        i1, _ = self.locate(min(s + horizon, self.s_grid[-1]))
         return int(np.min(self.lanes[i0 : i1 + 2]))
+
+
+def _lerp(table: np.ndarray, idx: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """``table`` at the recorded cells, by the tick loop's interpolation."""
+    return table[idx] + frac * (table[idx + 1] - table[idx])
+
+
+def _maneuver_rates(maneuver: LaneChangeManeuver, dt: float) -> list[float]:
+    """The maneuver's steering rate on every tick it lasts.
+
+    The clock advances as the tick loop advances it (``+= dt`` until
+    ``>= duration``), so element k is the rate a per-tick call at the k-th
+    maneuver tick returns.
+    """
+    duration = maneuver.duration
+    times = [0.0]
+    clock = dt
+    while clock < duration:
+        times.append(clock)
+        clock += dt
+    return maneuver.steering_rate(np.array(times)).tolist()
 
 
 class TripSimulator:
@@ -166,12 +195,18 @@ class TripSimulator:
         self._sampler = _UniformSampler(profile)
 
     def run(self) -> TruthTrace:
-        """Simulate the whole route and return the ground-truth trace."""
+        """Simulate the whole route and return the ground-truth trace.
+
+        Raises :class:`ConfigurationError` when ``max_duration_s`` runs out
+        before the vehicle reaches the end of the route.
+        """
         cfg = self.config
         dt = 1.0 / cfg.sample_rate
-        sampler = self._sampler
+        locate = self._sampler.locate
         prof = self.profile
         veh = self.vehicle
+        grade_table = prof.grade.tolist()
+        curvature_table = prof.curvature.tolist()
 
         v = cfg.initial_speed if cfg.initial_speed is not None else self.driver_profile.cruise_speed
         v = max(float(v), 0.5)
@@ -180,32 +215,29 @@ class TripSimulator:
         alpha = 0.0
         lateral = 0.0
         lane = 0
-        maneuver: LaneChangeManeuver | None = None
-        maneuver_t = 0.0
+        maneuver_rates: list[float] = []
+        maneuver_tick = 0
         maneuver_dir = 0
         traffic_phase = float(self.rng.uniform(0.0, 2.0 * math.pi))
         pending_stops = sorted(cfg.stops)
         next_stop = 0
         stop_until: float | None = None
 
-        rec: dict[str, list] = {key: [] for key in (
-            "t", "s", "v", "a", "grade", "z", "x", "y", "vehicle_heading",
-            "road_heading", "yaw_rate", "steer_rate", "road_turn_rate",
-            "alpha", "lateral_offset", "torque", "lane", "lane_change",
-            "gps_available",
-        )}
+        # One row per tick: the dynamic state plus the road cell it sat in.
+        rows: list[tuple] = []
+        record = rows.append
 
         length = prof.length
         max_steps = int(cfg.max_duration_s / dt)
-        outages = prof.gps_outages
 
         for _ in range(max_steps):
             if s >= length:
                 break
-            grade = sampler.field(sampler.grade, s)
-            curvature = sampler.field(sampler.curvature, s)
-            z = sampler.field(sampler.z, s)
-            road_heading = sampler.field(sampler.heading, s)
+            idx, frac = locate(s)
+            g0 = grade_table[idx]
+            grade = g0 + frac * (grade_table[idx + 1] - g0)
+            c0 = curvature_table[idx]
+            curvature = c0 + frac * (curvature_table[idx + 1] - c0)
 
             # --- longitudinal control -------------------------------------
             modulation = 1.0 + cfg.traffic_modulation * math.sin(
@@ -264,13 +296,12 @@ class TripSimulator:
 
             # --- lateral control -------------------------------------------
             jitter = self.driver.steering_jitter()
-            if maneuver is not None:
-                w_steer = float(maneuver.steering_rate(maneuver_t)) + jitter
-                maneuver_t += dt
-                if maneuver_t >= maneuver.duration:
+            if maneuver_dir:
+                w_steer = maneuver_rates[maneuver_tick] + jitter
+                maneuver_tick += 1
+                if maneuver_tick == len(maneuver_rates):
                     lane += maneuver_dir
                     lateral -= maneuver_dir * LANE_WIDTH_M
-                    maneuver = None
                     maneuver_dir = 0
             else:
                 w_steer = (
@@ -282,55 +313,73 @@ class TripSimulator:
                     planned = self._try_start_lane_change(s, v, lane)
                     if planned is not None:
                         maneuver, maneuver_dir = planned
-                        maneuver_t = 0.0
+                        maneuver_rates = _maneuver_rates(maneuver, dt)
+                        maneuver_tick = 0
 
-            w_road = curvature * v * math.cos(alpha)
-            yaw_rate = w_road + w_steer
-
-            gps_ok = True
-            for lo, hi in outages:
-                if lo <= s <= hi:
-                    gps_ok = False
-                    break
-
-            rec["t"].append(t)
-            rec["s"].append(s)
-            rec["v"].append(v)
-            rec["a"].append(a)
-            rec["grade"].append(grade)
-            rec["z"].append(z)
-            normal_x = -math.sin(road_heading)
-            normal_y = math.cos(road_heading)
-            lane_offset = (lane + 0.5 - sampler.lane_count(s) / 2.0) * LANE_WIDTH_M
-            base_x = sampler.field(sampler.x, s)
-            base_y = sampler.field(sampler.y, s)
-            rec["x"].append(base_x + (lateral + lane_offset) * normal_x)
-            rec["y"].append(base_y + (lateral + lane_offset) * normal_y)
-            rec["vehicle_heading"].append(road_heading + alpha)
-            rec["road_heading"].append(road_heading)
-            rec["yaw_rate"].append(yaw_rate)
-            rec["steer_rate"].append(w_steer)
-            rec["road_turn_rate"].append(w_road)
-            rec["alpha"].append(alpha)
-            rec["lateral_offset"].append(lateral)
-            rec["torque"].append(torque)
-            rec["lane"].append(lane)
-            rec["lane_change"].append(maneuver_dir if maneuver is not None else 0)
-            rec["gps_available"].append(gps_ok)
+            cos_alpha = math.cos(alpha)
+            w_road = curvature * v * cos_alpha
+            record((
+                t, s, v, a, grade, w_steer, w_road, alpha, lateral, torque,
+                lane, maneuver_dir, idx, frac,
+            ))
 
             # --- integrate (explicit Euler with the recorded state) --------
-            s += v * math.cos(alpha) * dt
+            s += v * cos_alpha * dt
             lateral += v * math.sin(alpha) * dt
             alpha += w_steer * dt
             v = max(v + a * dt, 0.0)
             t += dt
 
-        arrays = {key: np.asarray(vals) for key, vals in rec.items()}
+        if s < length:
+            raise ConfigurationError(
+                f"max_duration_s={cfg.max_duration_s:g} ran out after "
+                f"{s:.1f} m of the {length:.1f} m route"
+            )
+        table = np.array(rows)
+        del rows, record  # free the per-tick tuples before the post-pass
+        return self._trace(table, dt)
+
+    def _trace(self, table: np.ndarray, dt: float) -> TruthTrace:
+        """Assemble the trace; route-only fields are derived here, vectorized."""
+        prof = self.profile
+        # One contiguous array per field, so a kept field does not pin the
+        # whole per-tick table.
+        (t, s, v, a, grade, steer_rate, road_turn_rate, alpha, lateral,
+         torque, lane, lane_change, idx, frac) = (np.ascontiguousarray(col) for col in table.T)
+        lane = lane.astype(int)
+        idx = idx.astype(np.intp)
+
+        z = _lerp(prof.z, idx, frac)
+        road_heading = _lerp(prof.heading, idx, frac)
+        normal_x = -np.sin(road_heading)
+        normal_y = np.cos(road_heading)
+        lane_offset = (lane + 0.5 - prof.lanes[idx] / 2.0) * LANE_WIDTH_M
+        gps_available = np.ones(len(s), dtype=bool)
+        for lo, hi in prof.gps_outages:
+            gps_available &= ~((lo <= s) & (s <= hi))
         return TruthTrace(
+            t=t,
+            s=s,
+            v=v,
+            a=a,
+            grade=grade,
+            z=z,
+            x=_lerp(prof.xy[:, 0], idx, frac) + (lateral + lane_offset) * normal_x,
+            y=_lerp(prof.xy[:, 1], idx, frac) + (lateral + lane_offset) * normal_y,
+            vehicle_heading=road_heading + alpha,
+            road_heading=road_heading,
+            yaw_rate=road_turn_rate + steer_rate,
+            steer_rate=steer_rate,
+            road_turn_rate=road_turn_rate,
+            alpha=alpha,
+            lateral_offset=lateral,
+            torque=torque,
+            lane=lane,
+            lane_change=lane_change.astype(int),
+            gps_available=gps_available,
             dt=dt,
             profile=prof,
             driver_name=self.driver_profile.name,
-            **arrays,
         )
 
     def _try_start_lane_change(

@@ -106,3 +106,15 @@ class TestDriverModel:
         model = DriverModel(profile, rng=np.random.default_rng(5))
         samples = np.array([model.steering_jitter() for _ in range(2000)])
         assert np.std(samples) == pytest.approx(0.01, rel=0.1)
+
+
+class TestPerTickDraws:
+    def test_draws_match_numpy_distribution_calls(self):
+        # The per-tick draws take numpy's cheaper spellings; the stream and
+        # the values must be exactly those of ``normal``/``uniform``.
+        profile = DriverProfile(steering_noise_std=0.01, lane_changes_per_km=100.0)
+        model = DriverModel(profile, seed=5)
+        ref = np.random.default_rng(5)
+        for _ in range(2000):
+            assert model.steering_jitter() == float(ref.normal(0.0, 0.01))
+            assert model.wants_lane_change(5.0) == bool(ref.uniform() < 0.5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.constants import LANE_WIDTH_M
 from repro.errors import ConfigurationError
 from repro.vehicle.lateral import LaneChangeManeuver, plan_lane_change
+from repro.vehicle.simulator import _maneuver_rates
 
 
 class TestManeuverValidation:
@@ -101,3 +102,25 @@ class TestPlanValidation:
     def test_bad_hold_fraction(self):
         with pytest.raises(ConfigurationError):
             plan_lane_change(10.0, +1, hold_fraction=0.95)
+
+
+class TestManeuverClock:
+    """The simulator evaluates a maneuver's rates once, on its whole clock."""
+
+    @pytest.mark.parametrize("direction", [+1, -1])
+    @pytest.mark.parametrize("asymmetry", [0.75, 1.0, 1.25])
+    @pytest.mark.parametrize("shape_exponent", [0.35, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("dt", [1.0 / 50.0, 1.0 / 100.0, 1.0 / 25.0])
+    def test_clock_array_matches_scalar_calls(self, direction, asymmetry, shape_exponent, dt):
+        m = plan_lane_change(
+            9.5, direction, duration=4.7, asymmetry=asymmetry, shape_exponent=shape_exponent
+        )
+        clock, times = 0.0, []
+        while True:  # the per-tick clock: advance by dt until >= duration
+            times.append(clock)
+            clock += dt
+            if clock >= m.duration:
+                break
+        scalar = np.array([m.steering_rate(tk) for tk in times]).tobytes()
+        assert np.array(_maneuver_rates(m, dt)).tobytes() == scalar
+        assert m.steering_rate(np.array(times)).tobytes() == scalar

@@ -122,6 +122,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(traffic_modulation=1.5)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_nonpositive_max_duration(self, budget):
+        with pytest.raises(ConfigurationError, match="max_duration_s"):
+            SimulationConfig(max_duration_s=budget)
+
+    def test_exhausted_duration_fails_closed(self, flat_profile):
+        with pytest.raises(ConfigurationError, match=r"after \d+\.\d m of the 800\.0 m route"):
+            simulate_trip(flat_profile, config=SimulationConfig(max_duration_s=5.0), seed=1)
+
     def test_initial_speed_respected(self, flat_profile):
         trace = simulate_trip(
             flat_profile, config=SimulationConfig(initial_speed=5.0), seed=1
