@@ -91,7 +91,9 @@ benchtrack:
 benchtrack-report:
 	PYTHONPATH=src python -m repro.obs.benchtrack report benchmarks/
 
-# Freeze the simulator's golden traces (tests/golden/sim_*.npz). Run only when
-# a change is meant to alter the traces, and record it in CHANGES.md.
+# Freeze the golden simulator traces and pipeline outputs
+# (tests/golden/sim_*.npz, tests/golden/pipeline_*.npz). Run only when a
+# change is meant to alter them, and record it in CHANGES.md.
 golden:
 	PYTHONPATH=src python -m tests.golden.simulator
+	PYTHONPATH=src python -m tests.golden.pipeline

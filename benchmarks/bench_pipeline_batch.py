@@ -1,16 +1,16 @@
-"""Whole-pipeline throughput: batched evaluation vs the serial runner.
+"""Whole-pipeline throughput: chunked evaluation vs one trip per task.
 
 This is the end-to-end twin of ``bench_batch_vs_scalar`` (which times only
 the EKF engine): here the *entire* evaluation — simulate, sanitize-free
-four-stage pipeline, scoring, fusion — runs once through the serial
-reference runner (:func:`repro.eval.parallel.evaluate_trips` on the
-``serial`` backend) and once through the batched runner
-(:func:`repro.eval.parallel.evaluate_trips_batch`), which amortizes
-per-trip interpreter and dispatch cost over columnar
-:class:`~repro.core.trip_batch.TripBatch` chunks.
+four-stage pipeline, scoring, fusion — runs through
+:func:`repro.eval.parallel.evaluate_trips` twice: once with one trip per
+task on the ``serial`` backend (``chunk_size=1``, the reference), and once
+with chunks of several trips, each estimated in one batched pass over a
+columnar :class:`~repro.core.trip_batch.TripBatch`, which amortizes
+per-trip interpreter and dispatch cost.
 
 Pytest mode (``pytest benchmarks/bench_pipeline_batch.py``) is the CI
-smoke: it pins the two runners to an identical report at small N and
+smoke: it pins the two chunk sizes to an identical report at small N and
 asserts a conservative speedup floor so a regression that de-batches a
 stage fails loudly without making CI timing-flaky.
 
@@ -34,12 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.eval.parallel import (
-    BatchEvalConfig,
-    ParallelConfig,
-    evaluate_trips,
-    evaluate_trips_batch,
-)
+from repro.eval.parallel import ParallelConfig, evaluate_trips
 from repro.eval.runner import RunnerConfig
 from repro.roads.builder import SectionSpec, build_profile
 
@@ -61,28 +56,28 @@ def make_profile():
     return build_profile(list(_ROUTE), name="bench-pipeline-route")
 
 
-def batch_config() -> BatchEvalConfig:
+def batch_config() -> ParallelConfig:
     """Chunked batching tuned to the host: worker processes only help when
     there is more than one core to run them on."""
     backend = "process" if (os.cpu_count() or 1) > 1 else "serial"
-    return BatchEvalConfig(chunk_size=8, max_workers=4, backend=backend)
+    return ParallelConfig(chunk_size=8, max_workers=4, backend=backend)
 
 
 def time_runners(profile, cfg, bat, repeats: int = REPEATS):
-    """Best-of-N wall time for each runner (min filters scheduler noise)."""
+    """Best-of-N wall time for each config (min filters scheduler noise)."""
     serial_s = batch_s = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         evaluate_trips(profile, cfg, ParallelConfig(backend="serial", max_workers=1))
         serial_s = min(serial_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        evaluate_trips_batch(profile, cfg, bat)
+        evaluate_trips(profile, cfg, bat)
         batch_s = min(batch_s, time.perf_counter() - t0)
     return serial_s, batch_s
 
 
 def assert_reports_equal(a, b) -> None:
-    """The batched report must be *identical* to the serial one."""
+    """The chunked report must be *identical* to the one-trip-per-task one."""
     assert a.n_trips == b.n_trips and a.profile_name == b.profile_name
     assert np.array_equal(a.s_grid, b.s_grid)
     assert np.array_equal(a.fused_theta, b.fused_theta)
@@ -102,14 +97,14 @@ def test_batch_runner_identical_and_faster(bench_telemetry):
     profile = make_profile()
     cfg = RunnerConfig(n_trips=6, seed=11)
     serial = evaluate_trips(profile, cfg, ParallelConfig(backend="serial", max_workers=1))
-    batched = evaluate_trips_batch(
-        profile, cfg, BatchEvalConfig(chunk_size=6, backend="serial")
+    batched = evaluate_trips(
+        profile, cfg, ParallelConfig(chunk_size=6, backend="serial")
     )
     assert_reports_equal(serial, batched)
 
     with bench_telemetry.span("bench_pipeline_batch", n_trips=6):
         serial_s, batch_s = time_runners(
-            profile, cfg, BatchEvalConfig(chunk_size=6, backend="serial"), repeats=2
+            profile, cfg, ParallelConfig(chunk_size=6, backend="serial"), repeats=2
         )
     speedup = serial_s / batch_s
     bench_telemetry.gauge("bench.pipeline_speedup", speedup)

@@ -23,6 +23,7 @@ from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
 from repro.core.stages import PipelineContext
+from repro.core.trip_batch import BatchPipelineContext, TripBatch
 from repro.datasets.charlottesville import red_route
 from repro.sensors import Smartphone
 from repro.vehicle import DriverProfile, SimulationConfig, simulate_trip
@@ -56,8 +57,16 @@ def _run_direct(system, recording):
         vehicle=system.vehicle,
         telemetry=system.telemetry,
     )
+    bctx = BatchPipelineContext(
+        batch=TripBatch([recording]),
+        contexts=[ctx],
+        config=system.config,
+        road_map=system.road_map,
+        vehicle=system.vehicle,
+        telemetry=system.telemetry,
+    )
     for stage in system.stages:
-        ctx = stage.run(ctx)
+        stage.run_batch(bctx)
     return ctx
 
 

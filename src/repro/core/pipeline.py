@@ -12,6 +12,10 @@ stage objects (see :mod:`repro.core.stages`):
    through :func:`~repro.core.batch.estimate_tracks_batch`;
 4. **track fusion** — Eq 6 convex combination onto a position grid.
 
+Every stage runs through its batch entry point: :meth:`estimate` is the
+batch pipeline on a batch of one, so per-trip and batched estimation share
+one stage loop, one health set-up and one result assembly.
+
 The stage list itself lives in ``GradientSystemConfig.stages`` — plain
 registered names, so an ablated or extended pipeline is just a different
 config, and the whole config (stages included) round-trips through
@@ -47,7 +51,6 @@ from .stages import (
     PipelineContext,
     Stage,
     build_stages,
-    fusion_grid,
     run_stage_batch,
     validate_stage_names,
 )
@@ -210,9 +213,10 @@ class GradientEstimationSystem:
     """OPS: the paper's proposed system, end to end.
 
     A thin runner over the configured stage objects: construction resolves
-    ``config.stages`` against the stage registry, and :meth:`estimate`
-    threads a :class:`~repro.core.stages.PipelineContext` through them,
-    one telemetry span per stage.
+    ``config.stages`` against the stage registry, and one stage loop runs
+    them over a :class:`~repro.core.trip_batch.BatchPipelineContext`, one
+    telemetry span per stage. :meth:`estimate_batch` runs it over N trips
+    and :meth:`estimate` over a batch of one.
 
     Parameters
     ----------
@@ -257,72 +261,20 @@ class GradientEstimationSystem:
         )
 
     def estimate(self, recording: PhoneRecording) -> EstimationResult:
-        """Estimate the road-gradient profile from one phone recording."""
-        cfg = self.config
-        tel = self.telemetry
+        """Estimate the road-gradient profile from one phone recording.
 
-        ctx = PipelineContext(
-            recording=recording,
-            config=cfg,
-            road_map=self.road_map,
-            vehicle=self.vehicle,
-            telemetry=tel,
+        Runs the batch pipeline on a batch of one and raises the exception
+        that removed the trip, if any.
+        """
+        results, errors = self._run_pipeline(
+            TripBatch([recording]),
+            [self.telemetry],
+            "estimate",
+            n_sources=len(self.config.velocity_sources),
         )
-        monitor: HealthMonitor | None = None
-        if cfg.health.enabled:
-            monitor = HealthMonitor(
-                cfg.health,
-                telemetry=tel,
-                p22_initial=cfg.ekf.initial_grade_std**2,
-            )
-            # Screen the *raw* recording before any stage (sanitize repairs
-            # NaN bursts, so the screen must see the original input).
-            monitor.check_recording(recording)
-            ctx.extras["health_monitor"] = monitor
-        with tel.span("estimate", n_sources=len(cfg.velocity_sources)):
-            for stage in self.stages:
-                with tel.span(stage.name) as span:
-                    ctx.span = span
-                    ctx = stage.run(ctx)
-                ctx.span = None
-        tel.count("pipeline.estimates")
-
-        if ctx.fused is None or ctx.aligned is None or ctx.s_grid is None:
-            missing = [
-                name
-                for name, value in (
-                    ("aligned", ctx.aligned),
-                    ("fused", ctx.fused),
-                    ("s_grid", ctx.s_grid),
-                )
-                if value is None
-            ]
-            raise EstimationError(
-                f"configured stages {list(cfg.stages)} did not produce "
-                f"{missing}; a complete pipeline needs the alignment and "
-                f"fusion stages (or custom stages filling the same outputs)"
-            )
-        report: HealthReport | None = None
-        if monitor is not None:
-            report = monitor.report()
-            if report.verdict != "ok" and tel.active:
-                tel.count(
-                    "health.trips_flagged", labels={"verdict": report.verdict}
-                )
-                tel.event(
-                    "health.trip_flagged",
-                    verdict=report.verdict,
-                    n_flags=report.n_flags,
-                    kinds=report.flag_kinds(),
-                )
-        return EstimationResult(
-            fused=ctx.fused,
-            tracks=ctx.tracks,
-            events=ctx.events,
-            aligned=ctx.aligned,
-            s_grid=ctx.s_grid,
-            health=report,
-        )
+        if errors:
+            raise errors[0]
+        return results[0]
 
     def estimate_batch(
         self,
@@ -333,7 +285,7 @@ class GradientEstimationSystem:
 
         The stage list runs once over a columnar
         :class:`~repro.core.trip_batch.TripBatch` (stages without a batch
-        entry point loop their serial ``run``); each trip's outputs,
+        entry point loop their per-trip ``run``); each trip's outputs,
         errors, health report and telemetry are identical to what a
         per-trip :meth:`estimate` call produces, but the interpreter and
         dispatch cost is paid per batch instead of per trip. (One
@@ -352,15 +304,13 @@ class GradientEstimationSystem:
             path).
         telemetries:
             Optional per-trip telemetry sinks. When given, trip ``i``'s
-            stage metrics go to ``telemetries[i]`` exactly as if a serial
+            stage metrics go to ``telemetries[i]`` exactly as if a per-trip
             system had been built around that telemetry; when omitted,
             every trip reports to the system telemetry.
         """
-        cfg = self.config
         tel = self.telemetry
         if isinstance(recordings, TripBatch):
             batch = recordings
-            recs = [batch.recording(i) for i in range(len(batch))]
         else:
             recs = list(recordings)
             if not recs:
@@ -368,7 +318,7 @@ class GradientEstimationSystem:
                     "estimate_batch needs at least one recording"
                 )
             batch = TripBatch(recs)
-        n = len(recs)
+        n = len(batch)
         if telemetries is None:
             tels: list[Telemetry] = [tel] * n
         else:
@@ -378,16 +328,40 @@ class GradientEstimationSystem:
                 )
             tels = [t if t is not None else NULL_TELEMETRY for t in telemetries]
 
-        contexts: list[PipelineContext] = []
+        results, errors = self._run_pipeline(batch, tels, "estimate_batch", n_trips=n)
+        if tel.active:
+            for pos, exc in sorted(errors.items()):
+                tel.count("pipeline.batch.trip_failed")
+                tel.event(
+                    "pipeline.batch.trip_failed",
+                    position=pos,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            tel.count("pipeline.batch.trips", n)
+        return BatchEstimate(results=results, errors=errors)
+
+    def _run_pipeline(
+        self,
+        batch: TripBatch,
+        tels: list[Telemetry],
+        span_name: str,
+        **span_attrs: object,
+    ) -> tuple[list[EstimationResult | None], dict[int, BaseException]]:
+        """The one stage loop: health set-up, every stage over the batch,
+        result assembly. Returns per-trip results (``None`` where a trip
+        failed) and the exception that removed each failed trip."""
+        cfg = self.config
+        tel = self.telemetry
         bctx = BatchPipelineContext(
             batch=batch,
-            contexts=contexts,
+            contexts=[],
             config=cfg,
             road_map=self.road_map,
             vehicle=self.vehicle,
             telemetry=tel,
         )
-        for i, rec in enumerate(recs):
+        for i in range(len(batch)):
+            rec = batch.recording(i)
             ctx = PipelineContext(
                 recording=rec,
                 config=cfg,
@@ -395,7 +369,7 @@ class GradientEstimationSystem:
                 vehicle=self.vehicle,
                 telemetry=tels[i],
             )
-            contexts.append(ctx)
+            bctx.contexts.append(ctx)
             if cfg.health.enabled:
                 try:
                     monitor = HealthMonitor(
@@ -403,20 +377,22 @@ class GradientEstimationSystem:
                         telemetry=tels[i],
                         p22_initial=cfg.ekf.initial_grade_std**2,
                     )
-                    # Screen the *raw* recording before any stage, exactly
-                    # as the serial path does.
+                    # Screen the *raw* recording before any stage (sanitize
+                    # repairs NaN bursts, so the screen must see the input).
                     monitor.check_recording(rec)
                 except Exception as exc:  # noqa: BLE001 - per-trip isolation
                     bctx.fail(i, exc)
                     continue
                 ctx.extras["health_monitor"] = monitor
 
-        with tel.span("estimate_batch", n_trips=n):
+        with tel.span(span_name, **span_attrs):
             for stage in self.stages:
-                with tel.span(stage.name, n_live=bctx.n_live):
+                with tel.span(stage.name, n_live=bctx.n_live) as span:
+                    bctx.span = span
                     run_stage_batch(stage, bctx)
+            bctx.span = None
 
-        results: list[EstimationResult | None] = [None] * n
+        results: list[EstimationResult | None] = [None] * len(batch)
         for pos, ctx in list(bctx.live_items()):
             trip_tel = tels[pos]
             trip_tel.count("pipeline.estimates")
@@ -463,15 +439,7 @@ class GradientEstimationSystem:
                 s_grid=ctx.s_grid,
                 health=report,
             )
-        if tel.active:
-            tel.count("pipeline.batch.trips", n)
-        return BatchEstimate(results=results, errors=dict(bctx.failed))
-
-    def _fusion_grid(self, aligned: AlignedSteering) -> np.ndarray:
-        """The fusion grid for one aligned trip (kept for introspection)."""
-        return fusion_grid(
-            aligned, self.road_map.length, self.config.fusion_grid_spacing
-        )
+        return results, dict(bctx.failed)
 
 
 def fuse_estimates(

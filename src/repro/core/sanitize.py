@@ -251,23 +251,16 @@ class SanitizeStage:
     def __init__(self, config: SanitizeConfig | None = None) -> None:
         self.config = config or SanitizeConfig()
 
-    def run(self, ctx):  # ctx: repro.core.stages.PipelineContext
-        before = ctx.recording
-        ctx.recording = sanitize_recording(before, self.config, ctx.telemetry)
-        if ctx.span is not None and ctx.recording is not before:
-            ctx.span.set(repaired=True)
-        return ctx
-
     def run_batch(self, bctx):  # bctx: repro.core.trip_batch.BatchPipelineContext
         """Sanitize a whole batch: columnar screen, per-trip repair.
 
         One vectorized pass over the padded matrices finds the trips that
         could need any repair (non-finite channel samples, broken
         timebases, corrupt GPS fixes, per-channel timebases); only those
-        replay :func:`sanitize_recording` — with their own telemetry, so
-        counters and events match the serial stage — and refresh their
-        batch rows. Clean trips are untouched, which is exactly the
-        scalar stage's identity guarantee.
+        replay :func:`sanitize_recording` with their own telemetry and
+        refresh their batch rows. Clean trips are untouched, which is
+        :func:`sanitize_recording`'s identity guarantee. When any trip was
+        repaired, the stage span records ``repaired=True``.
         """
         batch = bctx.batch
         # Trips with any private channel timebase replay the full scalar
@@ -310,3 +303,5 @@ class SanitizeStage:
             if repaired is not rec:
                 ctx.recording = repaired
                 batch.set_recording(pos, repaired)
+                if bctx.span is not None:
+                    bctx.span.set(repaired=True)

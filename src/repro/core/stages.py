@@ -3,11 +3,15 @@
 The paper's OPS is a four-stage dataflow — data collection → data
 adjustment → gradient estimation → track fusion. Here each stage is a
 first-class object implementing the :class:`Stage` protocol (``name`` +
-``run(ctx) -> ctx``) over a shared :class:`PipelineContext`, and
+``run_batch(bctx)``) over a
+:class:`~repro.core.trip_batch.BatchPipelineContext` that carries one
+:class:`PipelineContext` per trip, and
 :class:`~repro.core.pipeline.GradientEstimationSystem` is a thin runner
-over ``config.stages``. That makes the stage list swappable (ablations),
-extensible (insert a custom stage by name), and expressible as plain data
-(a tuple of registered names inside a serializable config).
+over ``config.stages``: one stage loop serves a batch of N trips and a
+single-trip ``estimate`` (a batch of one). That makes the stage list
+swappable (ablations), extensible (insert a custom stage by name), and
+expressible as plain data (a tuple of registered names inside a
+serializable config).
 
 Stage ↔ paper mapping
 ---------------------
@@ -25,7 +29,9 @@ Stage ↔ paper mapping
 
 Custom stages register with :func:`register_stage`; the factory receives
 the owning ``GradientEstimationSystem`` so it can reach the road map,
-vehicle parameters and telemetry.
+vehicle parameters and telemetry. A custom stage may define a per-trip
+``run(ctx) -> ctx`` instead of ``run_batch``; :func:`run_stage_batch`
+loops it over the live trips.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .lane_change.detector import LaneChangeDetector, LaneChangeEvent
 from .lane_change.smoothing import loess_smooth_batch
 from .sanitize import SanitizeStage
 from .track import GradientTrack
-from .track_fusion import convex_combination, fuse_tracks
+from .track_fusion import convex_combination
 from .trip_batch import BatchPipelineContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -86,11 +92,9 @@ class PipelineContext:
     """Everything flowing through one trip's estimation.
 
     The immutable inputs (recording, config, road map, vehicle, telemetry)
-    are set by the runner; each stage fills in its outputs and returns the
-    context. ``span`` is the currently-open telemetry span for the running
-    stage (stages may attach attributes to it); ``extras`` is scratch space
-    for custom stages so they can pass data to each other without touching
-    the core fields.
+    are set by the runner; each stage fills in its outputs. ``extras`` is
+    scratch space for custom stages so they can pass data to each other
+    without touching the core fields.
     """
 
     recording: PhoneRecording
@@ -105,7 +109,6 @@ class PipelineContext:
     tracks: dict[str, GradientTrack] = field(default_factory=dict)
     s_grid: np.ndarray | None = None
     fused: GradientTrack | None = None
-    span: Any = None
     extras: dict = field(default_factory=dict)
 
     def require(self, attr: str, needed_by: str) -> Any:
@@ -121,22 +124,22 @@ class PipelineContext:
 
 @runtime_checkable
 class Stage(Protocol):
-    """One pipeline stage: a named transform over the context.
+    """One pipeline stage: a named transform over a batch of trips.
 
-    Stages may additionally implement the *optional* batch entry point
-    ``run_batch(bctx: BatchPipelineContext) -> None``, which processes all
-    live trips of a batch in one pass (columnar fast paths). Stages
-    without it — third-party stages included — still work in batch mode:
-    :func:`run_stage_batch` falls back to looping ``run`` per trip. A
-    stage that declares ``run_batch`` must keep ``run`` as well (enforced
-    by reprolint RL003) and must produce per-trip outputs and telemetry
-    identical to its serial ``run``.
+    ``run_batch`` processes every live trip of the batch in one pass,
+    reading and writing each trip's :class:`PipelineContext` and
+    recording a trip that fails with ``bctx.fail`` so the others go on.
+    A single-trip estimate is the same call on a batch of one. A
+    third-party stage may define a per-trip ``run(ctx) -> ctx`` instead,
+    which :func:`run_stage_batch` loops over the live trips; a registered
+    stage class must define one of the two (reprolint RL003).
     """
 
     name: str
 
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        """Consume prior stages' outputs from ``ctx``, write this stage's."""
+    def run_batch(self, bctx: BatchPipelineContext) -> None:
+        """Consume prior stages' outputs from every live trip's context,
+        write this stage's."""
         ...
 
 
@@ -148,11 +151,6 @@ class AlignmentStage:
     def __init__(self, alignment: CoordinateAlignment) -> None:
         self._alignment = alignment
 
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        rec = ctx.recording
-        ctx.aligned = self._alignment.align(rec.gyro, rec.speedometer, rec.gps)
-        return ctx
-
     def run_batch(self, bctx: BatchPipelineContext) -> None:
         """Align all live trips: columnar integration + one curvature query.
 
@@ -162,8 +160,8 @@ class AlignmentStage:
         ``w_steer = w_vehicle - w_road`` assembly run once over the padded
         matrices. Trips whose gyro does not share the recording timebase
         (the only channel read columnar here — speed is interpolated and
-        GPS matched per trip) replay the scalar path. Per-trip outputs
-        and telemetry are identical to :meth:`run` either way.
+        GPS matched per trip) run :meth:`CoordinateAlignment.align`, whose
+        outputs and telemetry the columnar path reproduces exactly.
         """
         batch = bctx.batch
         profile = self._alignment.profile
@@ -283,23 +281,14 @@ class LaneChangeStage:
     def __init__(self, detector: LaneChangeDetector) -> None:
         self._detector = detector
 
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        aligned = ctx.require("aligned", self.name)
-        ctx.w_smooth = self._detector.smooth(aligned.w_steer)
-        ctx.events = self._detector.detect(
-            aligned.t, ctx.w_smooth, aligned.v, presmoothed=True
-        )
-        if ctx.span is not None:
-            ctx.span.set(n_events=len(ctx.events))
-        return ctx
-
     def run_batch(self, bctx: BatchPipelineContext) -> None:
         """Smooth all steering profiles in one batched LOESS pass.
 
         The LOESS interior and the per-offset edge regressions are
         vectorized across trips (``loess_smooth_batch`` is bitwise equal
         to the scalar smoother row by row); Algorithm 1's state machine
-        stays per-trip, running against each trip's own telemetry.
+        stays per-trip, running against each trip's own telemetry. The
+        stage span records the detected events of the pass as ``n_events``.
         """
         cfg = self._detector.config
         entries: list[tuple[int, PipelineContext, AlignedSteering]] = []
@@ -311,7 +300,7 @@ class LaneChangeStage:
         if not entries:
             return
         lengths = np.array([len(aligned.w_steer) for _, _, aligned in entries])
-        width = int(lengths.max()) if len(lengths) else 0
+        width = int(lengths.max())
         w_steer2d = np.zeros((len(entries), width))
         for r, (_, _, aligned) in enumerate(entries):
             w_steer2d[r, : lengths[r]] = aligned.w_steer
@@ -327,6 +316,10 @@ class LaneChangeStage:
                 )
             except Exception as exc:  # noqa: BLE001 - per-trip isolation
                 bctx.fail(pos, exc)
+        if bctx.span is not None:
+            bctx.span.set(
+                n_events=sum(len(ctx.events) for _, ctx in bctx.live_items())
+            )
 
 
 class TrackEstimationStage:
@@ -335,8 +328,7 @@ class TrackEstimationStage:
     The corrected velocity signals are prepared per source (Eq 2 when lane
     changes were detected); every track then goes through one
     :func:`estimate_tracks_batch` call, which picks its loop by width and
-    runs GPS-denied handling (``config.gps_denied``) itself. :meth:`run`
-    makes that call with one trip's tracks and :meth:`run_batch` with the
+    runs GPS-denied handling (``config.gps_denied``) itself, over the
     flattened tracks of every live trip; each track reports to its own
     trip's telemetry and health monitor.
 
@@ -424,17 +416,11 @@ class TrackEstimationStage:
             ctx.tracks = dict(zip(ctx.signals, tracks[offset : offset + n]))
             offset += n
 
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        aligned = ctx.require("aligned", self.name)
-        self._prepare_signals(ctx, aligned)
-        self._estimate([(ctx, aligned)], ctx.vehicle, ctx.config)
-        return ctx
-
     def run_batch(self, bctx: BatchPipelineContext) -> None:
         """Estimate every live trip's tracks in one flattened EKF call.
 
-        Each flattened track is bit-identical to the per-trip call
-        whichever loop the width picks, and a wide batch pays the
+        Each flattened track is bit-identical to a batch of that trip
+        alone whichever loop the width picks, and a wide batch pays the
         interpreter cost once per tick instead of once per trip. Inputs
         are validated per trip first, so one malformed trip fails alone
         instead of aborting the shared call.
@@ -528,27 +514,17 @@ class FusionStage:
             )
         return kept
 
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        aligned = ctx.require("aligned", self.name)
-        kept = self._gate_tracks(ctx)
-        ctx.s_grid = fusion_grid(
-            aligned, ctx.road_map.length, ctx.config.fusion_grid_spacing
-        )
-        ctx.fused = fuse_tracks(
-            kept, ctx.s_grid, name="fused", telemetry=ctx.telemetry
-        )
-        return ctx
-
     def run_batch(self, bctx: BatchPipelineContext) -> None:
         """Fuse every live trip through one convex-combination call.
 
-        Gating, per-trip grids and track resampling mirror :meth:`run`;
-        the Eq 6 inverse-variance combination then runs once over all
-        trips' grids concatenated column-wise, with shorter trips' track
-        rows padded by NaN (weight exactly 0). Eq 6 is columnwise, so
-        each trip's slice of the result is bit-for-bit what its own
-        :func:`fuse_tracks` call would produce; trips with uncovered grid
-        cells fail individually with the same :class:`FusionError`.
+        Gating, per-trip grids and track resampling run per trip; the
+        Eq 6 inverse-variance combination then runs once over all trips'
+        grids concatenated column-wise, with shorter trips' track rows
+        padded by NaN (weight exactly 0). Eq 6 is columnwise, so each
+        trip's slice of the result is bit-for-bit what its own
+        :func:`~repro.core.track_fusion.fuse_tracks` call would produce;
+        trips with uncovered grid cells fail individually with the same
+        :class:`FusionError`.
         """
         entries: list[
             tuple[int, PipelineContext, list[GradientTrack], np.ndarray, np.ndarray, np.ndarray]
@@ -692,11 +668,11 @@ def build_stages(
 def run_stage_batch(stage: Stage, bctx: BatchPipelineContext) -> BatchPipelineContext:
     """Run one stage over every live trip of a batch.
 
-    Stages that implement the optional ``run_batch`` entry point get the
-    columnar fast path; any other stage — third-party stages included —
-    falls back to looping its serial ``run`` per trip. Either way a trip
-    that raises is recorded in ``bctx.failed`` and skipped by later
-    stages instead of taking the whole batch down.
+    Stages that implement ``run_batch`` (every built-in stage) get one
+    call for the whole batch; a third-party stage that defines only a
+    per-trip ``run`` is looped over the live trips. Either way a trip that
+    raises is recorded in ``bctx.failed`` and skipped by later stages
+    instead of taking the whole batch down.
     """
     run_batch = getattr(stage, "run_batch", None)
     if run_batch is not None:

@@ -1,11 +1,12 @@
 """Columnar trip batching: N trips resident as padded, masked arrays.
 
-The pipeline historically processed one trip per pass; fleet-scale
-ingestion amortizes the per-trip interpreter cost by keeping a *batch* of
-trips resident as structured arrays. :class:`TripBatch` is the columnar
-container — per-channel ``(n_trips, max_len)`` value/valid matrices padded
-to the longest trip, plus the shared timebase matrix and per-trip lengths —
-and :class:`BatchPipelineContext` carries one
+Every estimation pass runs over a *batch* of trips resident as structured
+arrays, so fleet-scale ingestion pays the per-trip interpreter cost once
+per batch; a single-trip ``estimate`` is a batch of one.
+:class:`TripBatch` is the columnar container — per-channel
+``(n_trips, max_len)`` value/valid matrices padded to the longest trip,
+plus the shared timebase matrix and per-trip lengths — and
+:class:`BatchPipelineContext` carries one
 :class:`~repro.core.stages.PipelineContext` per trip through the stage
 list, recording per-trip failures instead of letting one bad trip kill the
 batch.
@@ -17,7 +18,7 @@ timestamp (so per-row ``diff`` is 0 across the pad), channel values pad
 with 0.0 and ``valid=False``. :attr:`TripBatch.sample_mask` marks the real
 samples. Batch-aware stages compute on the padded matrices and slice each
 row back to its true length, which keeps every columnar result elementwise
-bit-identical to the per-trip scalar path (numpy's elementwise kernels,
+bit-identical to a batch of that trip alone (numpy's elementwise kernels,
 row-wise ``cumsum`` and per-row reductions do not mix rows).
 
 Copy-on-write
@@ -250,12 +251,12 @@ def _writable(arr: np.ndarray) -> np.ndarray:
 class BatchPipelineContext:
     """Everything flowing through one *batch* estimation pass.
 
-    ``contexts`` holds one per-trip :class:`PipelineContext`; stages read
-    and write those exactly as in the serial path (so per-trip telemetry
-    and outputs stay pinned equal), while ``batch`` provides the shared
-    columnar views. ``failed`` maps trip position to the exception that
-    removed it from the batch — remaining stages skip failed trips via
-    :meth:`live_items`.
+    ``contexts`` holds one per-trip :class:`PipelineContext`, which stages
+    read and write, while ``batch`` provides the shared columnar views.
+    ``failed`` maps trip position to the exception that removed it from
+    the batch — remaining stages skip failed trips via :meth:`live_items`.
+    ``span`` is the running stage's open telemetry span (stages may attach
+    attributes to it).
     """
 
     batch: TripBatch
@@ -265,6 +266,7 @@ class BatchPipelineContext:
     vehicle: "VehicleParams"
     telemetry: Telemetry
     failed: dict[int, BaseException] = field(default_factory=dict)
+    span: Any = None
     extras: dict = field(default_factory=dict)
 
     def live_items(self) -> "Iterator[tuple[int, Any]]":
@@ -281,10 +283,3 @@ class BatchPipelineContext:
     def fail(self, pos: int, exc: BaseException) -> None:
         """Record trip ``pos`` as failed; later stages skip it."""
         self.failed[pos] = exc
-        if self.telemetry.active:
-            self.telemetry.count("pipeline.batch.trip_failed")
-            self.telemetry.event(
-                "pipeline.batch.trip_failed",
-                position=pos,
-                error=f"{type(exc).__name__}: {exc}",
-            )

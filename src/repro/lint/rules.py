@@ -11,8 +11,8 @@ RL002     config-serializable     ``SerializableConfig`` dataclasses stay
                                   defaults, representable field types)
 RL003     stage-contract          every Stage class is registered in
                                   ``STAGE_REGISTRY`` under its own ``name``,
-                                  and ``run_batch`` never appears without
-                                  the scalar ``run`` fallback
+                                  and a registered stage defines
+                                  ``run_batch`` or ``run``
 RL004     metric-names            telemetry name literals match the
                                   ``metric_key`` grammar and the generated
                                   ``repro.obs.metric_names`` registry
@@ -358,11 +358,10 @@ class StageContractRule(ProjectRule):
     A stage class that is never passed to ``register_stage`` cannot be
     reached from ``config.stages`` (dead pipeline code); a registration
     string that differs from the class's ``name`` attribute breaks the
-    telemetry span labels, which use ``stage.name``. A stage that defines
-    ``run_batch`` without ``run`` is equally broken: the batch dispatcher
-    treats ``run_batch`` as an optional acceleration whose mandatory
-    fallback is the scalar ``run`` — and the serial pipeline only ever
-    calls ``run``.
+    telemetry span labels, which use ``stage.name``. A registered stage
+    that defines neither ``run_batch`` (the pipeline's entry point) nor a
+    per-trip ``run`` (which ``run_stage_batch`` loops over the batch) is
+    equally broken: the pipeline has nothing to call.
     """
 
     code = "RL003"
@@ -370,7 +369,7 @@ class StageContractRule(ProjectRule):
     description = (
         "Stage subclasses must be registered in STAGE_REGISTRY, the "
         "registered key must equal the class's name attribute, and a "
-        "stage defining run_batch must also define run"
+        "registered stage must define run_batch or run"
     )
 
     def check_project(self, ctxs: list[FileContext]) -> Iterator[Finding]:
@@ -404,7 +403,8 @@ class StageContractRule(ProjectRule):
             for cls in classes:
                 class_to_keys.setdefault(cls, set()).add(key)
 
-        # Pass 2: every concrete stage class (has run() + literal name).
+        # Pass 2: every stage class; concrete ones have a body (run_batch()
+        # or run()) and a literal name.
         for ctx in ctxs:
             if ctx.tree is None:
                 continue
@@ -413,18 +413,17 @@ class StageContractRule(ProjectRule):
                     continue
                 if not node.name.endswith("Stage") or node.name == "Stage":
                     continue
-                if _has_method(node, "run_batch") and not _has_method(node, "run"):
+                has_body = _has_method(node, "run_batch") or _has_method(node, "run")
+                if not has_body and node.name in class_to_keys:
                     yield ctx.finding(
                         self.code,
                         node,
-                        f"stage class {node.name} defines run_batch() but "
-                        f"no run(); run_batch is an optional batch "
-                        f"acceleration — the scalar run() is its mandatory "
-                        f"fallback and the serial pipeline's only entry "
-                        f"point",
+                        f"stage class {node.name} is registered but defines "
+                        f"neither run_batch() nor run(), so the pipeline has "
+                        f"nothing to call",
                     )
                 named = _stage_name_attr(node)
-                if named is None or not _has_method(node, "run"):
+                if named is None or not has_body:
                     continue
                 stage_name, stmt = named
                 keys = class_to_keys.get(node.name, set())

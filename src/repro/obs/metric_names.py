@@ -33,7 +33,6 @@ METRIC_NAMES = frozenset(
         "ekf_ticks",
         "ekf_updates",
         "eval.batch_chunks",
-        "eval.batch_reports",
         "eval.gps_denied_cells",
         "eval.parallel_reports",
         "eval.trips_simulated",

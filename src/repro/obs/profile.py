@@ -7,10 +7,11 @@ guesses. The :class:`Profiler` here is that instrument:
   (``perf_counter``), per-thread CPU time (``thread_time``), call counts,
   and optional ``tracemalloc`` allocation deltas;
 * :meth:`Profiler.install` wraps every registered pipeline stage
-  (:data:`~repro.core.stages.STAGE_REGISTRY`) so each ``stage.run`` lands
+  (:data:`~repro.core.stages.STAGE_REGISTRY`) so each stage's batch pass
+  (``run_batch``, one call per ``estimate`` or ``estimate_batch``) lands
   in a ``stage.<name>`` section — no pipeline code changes needed;
 * :func:`~repro.eval.parallel.evaluate_trips` accepts a ``profiler=`` and
-  wraps its phases (reference build, per-trip estimation, cloud fusion),
+  wraps its phases (reference build, trip estimation, cloud fusion),
   reporting per-trip throughput in EKF ticks/s.
 
 The profiler observes timing only — it never touches data flowing through
@@ -215,16 +216,23 @@ class Profiler:
 
 
 class _ProfiledStage:
-    """Transparent stage wrapper timing ``run`` under ``stage.<name>``."""
+    """Transparent stage wrapper timing each batch pass under ``stage.<name>``.
+
+    The pass goes through :func:`~repro.core.stages.run_stage_batch`, so a
+    wrapped stage that defines only a per-trip ``run`` is timed as one
+    section call per pass too.
+    """
 
     def __init__(self, inner: object, profiler: Profiler) -> None:
         self._inner = inner
         self._profiler = profiler
         self.name = inner.name
 
-    def run(self, ctx: object) -> object:
+    def run_batch(self, bctx: object) -> None:
+        from ..core.stages import run_stage_batch
+
         with self._profiler.section(f"stage.{self.name}"):
-            return self._inner.run(ctx)
+            run_stage_batch(self._inner, bctx)
 
     def __getattr__(self, attr: str) -> object:
         return getattr(self._inner, attr)

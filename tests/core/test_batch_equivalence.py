@@ -30,6 +30,7 @@ from repro.core.lane_change.features import LaneChangeThresholds
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.core.stages import PipelineContext
 from repro.core.track_fusion import fuse_tracks
+from repro.core.trip_batch import BatchPipelineContext, TripBatch
 from repro.errors import DegradedInputError, EstimationError
 from repro.obs import Telemetry
 from repro.roads import SectionSpec, build_profile
@@ -381,8 +382,17 @@ def _trip_context(route: str, seed: int, density: float) -> PipelineContext:
         vehicle=system.vehicle,
         telemetry=system.telemetry,
     )
+    bctx = BatchPipelineContext(
+        batch=TripBatch([rec]),
+        contexts=[ctx],
+        config=cfg,
+        road_map=system.road_map,
+        vehicle=system.vehicle,
+        telemetry=system.telemetry,
+    )
     for stage in system.stages:
-        ctx = stage.run(ctx)
+        stage.run_batch(bctx)
+    assert bctx.failed == {}
     return ctx
 
 

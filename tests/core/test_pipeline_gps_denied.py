@@ -21,6 +21,7 @@ from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
 from repro.core.stages import PipelineContext
+from repro.core.trip_batch import BatchPipelineContext, TripBatch
 from repro.faults import FaultSpec, FaultSuiteConfig, apply_fault_suite
 from repro.obs import Telemetry
 from repro.roads import SectionSpec, build_profile
@@ -145,15 +146,25 @@ class TestPipelineRouting:
         monkeypatch.setattr(ekf_batch, "_VECTORIZE_MIN_TRACKS", 1)
         cfg = self.make_cfg(GD)
         system = GradientEstimationSystem(profile, config=cfg)
+        tel = Telemetry("gd-routing")
         ctx = PipelineContext(
             recording=rec,
             config=cfg,
             road_map=system.road_map,
             vehicle=system.vehicle,
-            telemetry=Telemetry("gd-routing"),
+            telemetry=tel,
+        )
+        bctx = BatchPipelineContext(
+            batch=TripBatch([rec]),
+            contexts=[ctx],
+            config=cfg,
+            road_map=system.road_map,
+            vehicle=system.vehicle,
+            telemetry=tel,
         )
         for stage in system.stages:
-            ctx = stage.run(ctx)
+            stage.run_batch(bctx)
+        assert bctx.failed == {}
         signals = list(ctx.signals.values())
         n = len(signals)
         vectorized = _vectorized_tracks(

@@ -133,9 +133,11 @@ class TestStageConstruction:
         assert isinstance(system.stages[1], LaneChangeStage)
         assert isinstance(system.stages[2], TrackEstimationStage)
         assert isinstance(system.stages[3], FusionStage)
-        # Every stage object satisfies the runtime protocol.
+        # Every stage object satisfies the runtime protocol (name +
+        # run_batch); a built-in stage has no per-trip run body.
         for stage in system.stages:
             assert isinstance(stage, Stage)
+            assert not hasattr(stage, "run")
 
     def test_builtin_names_registered(self):
         assert set(DEFAULT_STAGES) <= set(STAGE_REGISTRY)

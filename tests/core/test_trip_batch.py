@@ -14,7 +14,7 @@ import pytest
 from repro.core import GradientEstimationSystem
 from repro.core.stages import register_stage, run_stage_batch
 from repro.core.trip_batch import BATCH_CHANNELS, BatchPipelineContext, TripBatch
-from repro.errors import EstimationError
+from repro.errors import AlignmentError, EstimationError
 from repro.eval.runner import RunnerConfig, make_system, simulate_recordings, system_config
 from repro.faults.suite import FaultSpec, FaultSuiteConfig
 from repro.obs import Telemetry
@@ -212,6 +212,24 @@ class TestEstimateBatch:
         snap = tel.metrics.snapshot()
         assert snap["counters"].get("pipeline.batch.trip_failed") == 1
 
+    def test_estimate_emits_no_batch_keys(self, profile, fleet):
+        # estimate() is the batch pipeline on a batch of one, but its
+        # telemetry stays per-trip: a failed trip raises instead of being
+        # counted as a batch failure.
+        rec = fleet[1]
+        broken = dataclasses.replace(
+            rec,
+            gyro=SampledSignal(t=rec.gyro.t[:1], values=rec.gyro.values[:1]),
+        )
+        tel = Telemetry("single-trip")
+        system = make_system(profile, RunnerConfig(n_trips=4, seed=5), telemetry=tel)
+        system.estimate(fleet[0])
+        with pytest.raises(AlignmentError, match="two gyro samples"):
+            system.estimate(broken)
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["pipeline.estimates"] == 1
+        assert not [k for k in counters if k.startswith("pipeline.batch.")]
+
     def test_telemetries_length_validated(self, profile, fleet):
         system = make_system(profile, RunnerConfig(n_trips=4, seed=5))
         with pytest.raises(EstimationError):
@@ -249,7 +267,7 @@ class TestRunStageBatch:
             telemetry=Telemetry("fallback"),
         )
         run_stage_batch(TracingStage(), bctx)
-        assert len(calls) == len(fleet)  # looped the scalar run() per trip
+        assert len(calls) == len(fleet)  # looped the per-trip run()
 
     def test_fallback_isolates_per_trip_crashes(self, profile, fleet):
         class ExplodingStage:

@@ -1,13 +1,12 @@
-"""Batched evaluation runner: report identity with the serial reference.
+"""Chunked evaluation: report identity across chunk sizes.
 
-``evaluate_trips_batch`` chunks the fleet through whole-pipeline
-``estimate_batch`` passes; everything the caller can observe — per-trip
-scores, fused gradient, failure records, merged worker telemetry — must be
-*identical* to :func:`repro.eval.parallel.evaluate_trips`, on every
-backend, including under scenario overrides and injected faults. Only the
-parent-side bookkeeping counters (``eval.batch_chunks`` /
-``eval.batch_reports`` vs ``eval.parallel_reports``) may differ; that gap
-is pinned explicitly here.
+``evaluate_trips`` with ``chunk_size > 1`` runs each chunk of trips through
+one whole-pipeline ``estimate_batch`` pass; everything the caller can
+observe — per-trip scores, fused gradient, failure records, merged worker
+telemetry — must be *identical* to the one-trip-per-task reference
+(``chunk_size=1``), on every backend, including under scenario overrides
+and injected faults. Only the parent-side chunk count
+(``eval.batch_chunks``) may differ; that gap is pinned explicitly here.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, EstimationError
-from repro.eval import (
-    BatchEvalConfig,
-    ParallelConfig,
-    RunnerConfig,
-    evaluate_trips,
-    evaluate_trips_batch,
-)
+from repro.eval import ParallelConfig, RunnerConfig, evaluate_trips
 from repro.faults.suite import FaultSpec, FaultSuiteConfig
 from repro.obs import Telemetry
 from repro.roads import SectionSpec, build_profile
@@ -46,9 +39,9 @@ def profile():
 
 @pytest.fixture(scope="module")
 def serial_run(profile):
-    # No telemetry: per-trip metrics snapshots are collected only when a
-    # telemetry sink is active, and the identity tests run both runners in
-    # the same (inactive) mode.
+    # One trip per task. No telemetry: per-trip metrics snapshots are
+    # collected only when a telemetry sink is active, and the identity
+    # tests run both chunk sizes in the same (inactive) mode.
     return evaluate_trips(profile, CFG, ParallelConfig(backend="serial"))
 
 
@@ -83,15 +76,15 @@ class TestReportIdentity:
     def test_matches_serial_runner_on_every_backend(
         self, profile, serial_run, backend
     ):
-        report = evaluate_trips_batch(
-            profile, CFG, BatchEvalConfig(chunk_size=2, backend=backend)
+        report = evaluate_trips(
+            profile, CFG, ParallelConfig(chunk_size=2, backend=backend)
         )
         assert_reports_identical(serial_run, report)
 
     def test_chunk_size_does_not_change_the_report(self, profile, serial_run):
         for chunk in (1, 2, 3, 8):
-            report = evaluate_trips_batch(
-                profile, CFG, BatchEvalConfig(chunk_size=chunk, backend="serial")
+            report = evaluate_trips(
+                profile, CFG, ParallelConfig(chunk_size=chunk, backend="serial")
             )
             assert_reports_identical(serial_run, report)
 
@@ -101,20 +94,21 @@ class TestReportIdentity:
             profile, CFG, ParallelConfig(backend="serial"), telemetry=serial_tel
         )
         tel = Telemetry("batch-ref")
-        evaluate_trips_batch(
-            profile, CFG, BatchEvalConfig(chunk_size=2, backend="serial"),
+        evaluate_trips(
+            profile, CFG, ParallelConfig(chunk_size=2, backend="serial"),
             telemetry=tel,
         )
         serial_snap = serial_tel.metrics.snapshot()["counters"]
         batch_snap = tel.metrics.snapshot()["counters"]
         # Parent bookkeeping differs by design; everything merged from the
         # per-trip workers must match exactly.
-        bookkeeping = {"eval.parallel_reports", "eval.batch_chunks", "eval.batch_reports"}
+        bookkeeping = {"eval.batch_chunks"}
         assert {k: v for k, v in serial_snap.items() if k not in bookkeeping} == {
             k: v for k, v in batch_snap.items() if k not in bookkeeping
         }
+        assert serial_snap["eval.batch_chunks"] == 3
         assert batch_snap["eval.batch_chunks"] == 2  # ceil(3 / 2)
-        assert batch_snap["eval.batch_reports"] == 1
+        assert batch_snap["eval.parallel_reports"] == 1
 
     def test_scenario_and_faults_slice_identical(self, profile):
         faults = FaultSuiteConfig(
@@ -136,8 +130,8 @@ class TestReportIdentity:
                         "ekf_tracks", "fusion"),
             )
             serial = evaluate_trips(profile, cfg, ParallelConfig(backend="serial"))
-            batched = evaluate_trips_batch(
-                profile, cfg, BatchEvalConfig(chunk_size=2, backend="serial")
+            batched = evaluate_trips(
+                profile, cfg, ParallelConfig(chunk_size=2, backend="serial")
             )
             assert_reports_identical(serial, batched)
 
@@ -146,10 +140,10 @@ class TestFailureHandling:
     def test_crashed_trip_degrades_to_partial_report(self, profile, serial_run):
         serial_report = serial_run
         tel = Telemetry("batch-faulty")
-        report = evaluate_trips_batch(
+        report = evaluate_trips(
             profile,
             CFG,
-            BatchEvalConfig(chunk_size=2, backend="serial", retries=0),
+            ParallelConfig(chunk_size=2, backend="serial", retries=0),
             telemetry=tel,
             fault_hook=_crash_on_one,
         )
@@ -180,10 +174,10 @@ class TestFailureHandling:
                 raise RuntimeError("transient failure")
 
         tel = Telemetry("batch-retry")
-        report = evaluate_trips_batch(
+        report = evaluate_trips(
             profile,
             CFG,
-            BatchEvalConfig(chunk_size=3, backend="serial", retries=1),
+            ParallelConfig(chunk_size=3, backend="serial", retries=1),
             telemetry=tel,
             fault_hook=flaky,
         )
@@ -196,51 +190,48 @@ class TestFailureHandling:
             raise RuntimeError("nothing survives")
 
         with pytest.raises(EstimationError, match="all .* trips failed"):
-            evaluate_trips_batch(
+            evaluate_trips(
                 profile,
                 CFG,
-                BatchEvalConfig(backend="serial", retries=0),
+                ParallelConfig(chunk_size=8, backend="serial", retries=0),
                 fault_hook=crash_all,
             )
 
     def test_manifest_written(self, profile, tmp_path):
         path = tmp_path / "run" / "manifest.json"
-        evaluate_trips_batch(
+        evaluate_trips(
             profile,
             CFG,
-            BatchEvalConfig(chunk_size=2, backend="serial"),
+            ParallelConfig(chunk_size=2, backend="serial"),
             manifest_path=path,
         )
         manifest = json.loads(path.read_text())
-        assert manifest["kind"] == "evaluate_trips_batch"
+        assert manifest["kind"] == "evaluate_trips"
         # build_manifest flattens `extra` into the top level.
         assert manifest["backend"] == "serial"
         assert manifest["chunk_size"] == 2
 
 
 class TestBatchEvalConfig:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BatchEvalConfig(backend="gpu")
+    """The config of a batched run: ``ParallelConfig`` with ``chunk_size > 1``
+    validates its other fields exactly as a one-trip-per-task config does."""
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BatchEvalConfig(chunk_size=0)
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="valid options"):
+            ParallelConfig(chunk_size=8, backend="gpu")
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            BatchEvalConfig(max_workers=0)
+            ParallelConfig(chunk_size=8, max_workers=0)
 
     def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BatchEvalConfig(retries=-1)
+        with pytest.raises(ConfigurationError, match="retries"):
+            ParallelConfig(chunk_size=8, retries=-1)
 
     def test_defaults(self):
-        cfg = BatchEvalConfig()
-        assert cfg.chunk_size == 8
-        assert cfg.backend == "process"
-        assert cfg.retries == 1
-
-    def test_spec_round_trip(self):
-        cfg = BatchEvalConfig(chunk_size=4, backend="serial")
-        assert BatchEvalConfig.from_dict(cfg.to_dict()) == cfg
+        # Setting the chunk size leaves every other field at its default.
+        par = ParallelConfig(chunk_size=8)
+        assert par.chunk_size == 8
+        assert par.backend == ParallelConfig().backend == "thread"
+        assert par.max_workers == ParallelConfig().max_workers == 4
+        assert par.retries == ParallelConfig().retries == 1

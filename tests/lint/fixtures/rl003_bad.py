@@ -8,8 +8,8 @@ class OrphanStage:
 
     name = "orphan"
 
-    def run(self, ctx):
-        return ctx
+    def run_batch(self, bctx):
+        return None
 
 
 class MislabeledStage:
@@ -21,14 +21,11 @@ class MislabeledStage:
         return ctx
 
 
-class BatchOnlyStage:
-    """Defines the batch fast path but not the mandatory scalar run()."""
+class BodilessStage:
+    """Registered, but defines neither run_batch() nor run()."""
 
-    name = "batch_only"
-
-    def run_batch(self, bctx):
-        return bctx
+    name = "bodiless"
 
 
 register_stage("wrong_key", lambda system: MislabeledStage())
-register_stage("batch_only", lambda system: BatchOnlyStage())
+register_stage("bodiless", lambda system: BodilessStage())

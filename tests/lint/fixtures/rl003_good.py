@@ -10,11 +10,13 @@ class Stage(Protocol):
 
     name: str
 
-    def run(self, ctx):
+    def run_batch(self, bctx):
         ...
 
 
 class ResampleStage:
+    """A third-party stage with only the per-trip run()."""
+
     name = "resample"
 
     def __init__(self, factor: int) -> None:
@@ -31,8 +33,17 @@ class DebiasStage:
         return ctx
 
 
+class BatchOnlyStage:
+    """run_batch() alone is a complete stage, as every built-in stage is."""
+
+    name = "batch_only"
+
+    def run_batch(self, bctx):
+        return None
+
+
 class ColumnarStage:
-    """run_batch is fine as long as the scalar run() fallback exists."""
+    """Defining both entry points is fine too."""
 
     name = "columnar"
 
@@ -40,9 +51,10 @@ class ColumnarStage:
         return ctx
 
     def run_batch(self, bctx):
-        return bctx
+        return None
 
 
 register_stage("resample", lambda system: ResampleStage(2))
 register_stage("debias", lambda system: DebiasStage())
+register_stage("batch_only", lambda system: BatchOnlyStage())
 register_stage("columnar", lambda system: ColumnarStage())

@@ -55,7 +55,7 @@ class TestRL002ConfigSerializable:
 
 
 class TestRL003StageContract:
-    def test_bad_fixture_flags_orphan_mismatch_and_batch_only(self):
+    def test_bad_fixture_flags_orphan_mismatch_and_bodiless(self):
         findings = run_rule("RL003", "rl003_bad.py")
         assert len(findings) == 3
         messages = " | ".join(sorted(f.message for f in findings))
@@ -63,8 +63,8 @@ class TestRL003StageContract:
         assert "OrphanStage" in messages
         assert "registered under ['wrong_key']" in messages
         assert "MislabeledStage" in messages
-        assert "BatchOnlyStage" in messages
-        assert "defines run_batch() but no run()" in messages
+        assert "BodilessStage" in messages
+        assert "defines neither run_batch() nor run()" in messages
 
     def test_good_fixture_is_clean(self):
         assert run_rule("RL003", "rl003_good.py") == []

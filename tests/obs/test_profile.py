@@ -98,6 +98,49 @@ class TestInstall:
         } <= set(prof.sections)
         assert all(s.calls == 1 for s in prof.sections.values())
 
+    def test_estimate_batch_times_one_call_per_stage(
+        self, hill_profile, hill_recording
+    ):
+        from repro.core.pipeline import GradientEstimationSystem
+
+        prof = Profiler()
+        with prof.install():
+            system = GradientEstimationSystem(hill_profile)
+            batched = system.estimate_batch([hill_recording] * 3)
+        assert batched.errors == {}
+        assert {name: s.calls for name, s in prof.sections.items()} == {
+            "stage.alignment": 1,
+            "stage.lane_change": 1,
+            "stage.ekf_tracks": 1,
+            "stage.fusion": 1,
+        }
+
+    def test_run_only_stage_timed_once_per_pass(self, hill_profile, hill_recording):
+        from repro.core.trip_batch import BatchPipelineContext, TripBatch
+        from repro.obs.profile import _ProfiledStage
+
+        calls = []
+
+        class RunOnly:
+            name = "run_only"
+
+            def run(self, ctx):
+                calls.append(ctx)
+                return ctx
+
+        prof = Profiler()
+        bctx = BatchPipelineContext(
+            batch=TripBatch([hill_recording] * 2),
+            contexts=[object(), object()],
+            config=None,
+            road_map=hill_profile,
+            vehicle=None,
+            telemetry=None,
+        )
+        _ProfiledStage(RunOnly(), prof).run_batch(bctx)
+        assert len(calls) == 2
+        assert prof.sections["stage.run_only"].calls == 1
+
 
 class TestEvalIntegration:
     def test_evaluate_trips_profiles_stages_and_throughput(self, hill_profile):
@@ -119,6 +162,30 @@ class TestEvalIntegration:
         } <= set(prof.sections)
         assert prof.throughput.ticks > 0
         assert prof.throughput.ticks_per_s > 0.0
+
+    def test_chunked_evaluate_trips_times_each_batch_pass(self, hill_profile):
+        prof = Profiler()
+        report = evaluate_trips(
+            hill_profile,
+            RunnerConfig(n_trips=3, seed=3),
+            parallel=ParallelConfig(backend="serial", chunk_size=2),
+            profiler=prof,
+        )
+        assert report.n_failed == 0
+        stage_calls = {
+            name: s.calls
+            for name, s in prof.sections.items()
+            if name.startswith("stage.")
+        }
+        # Two chunks (2 + 1 trips): one batch pass, one call per stage each.
+        assert stage_calls == {
+            "stage.alignment": 2,
+            "stage.lane_change": 2,
+            "stage.ekf_tracks": 2,
+            "stage.fusion": 2,
+        }
+        assert prof.throughput.n_trips == 3
+        assert prof.throughput.ticks > 0
 
     def test_profiler_output_bit_identical(self, hill_profile):
         cfg = RunnerConfig(n_trips=1, seed=3)
